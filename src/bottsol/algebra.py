@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .scalar import ParseError, Poly, parse_poly
+from .scalar import Poly, ScalarError, parse_poly
 
 METRIC_SIGNS = (1, 1, -1)
 
@@ -253,13 +253,6 @@ def catalog(group: str, eta_sign: int | None = None) -> LieAlgebraSpec:
     )
 
 
-def catalog_variants(group: str) -> list:
-    """All parameter-sign instantiations of a catalog entry (two for G4)."""
-    if group == "G4":
-        return [catalog("G4", eta_sign=1), catalog("G4", eta_sign=-1)]
-    return [catalog(group)]
-
-
 def custom_spec(
     rows: Mapping[tuple, Vec3],
     equality_constraints: Sequence[Poly] = (),
@@ -340,7 +333,7 @@ def parse_custom_file(text: str, label: str = "custom") -> LieAlgebraSpec:
                     raise InvalidAlgebra(f"line {lineno}: duplicate bracket {key}")
                 rhs_text = rhs.strip()
                 rows[_BRACKET_KEYS[key]] = _v(rhs_text) if rhs_text != "0" else Vec3.zero()
-        except ParseError as exc:
+        except ScalarError as exc:
             raise InvalidAlgebra(f"line {lineno}: {exc}") from exc
     missing = set(_BRACKET_KEYS.values()) - set(rows)
     if missing:

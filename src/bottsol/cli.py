@@ -13,7 +13,7 @@ import sys
 from . import __version__, pipeline, registry, verify
 from .algebra import GROUPS, InvalidAlgebra, UnknownId, parse_custom_file, screen_jacobi
 from .connection import DISTRIBUTIONS
-from .soliton import DEFAULT_SEED, build_system
+from .soliton import DEFAULT_SEED
 
 EX_USAGE = 64
 
@@ -284,14 +284,7 @@ def _cmd_check_custom(args) -> int:
     except InvalidAlgebra as exc:
         print(f"invalid algebra: {exc}", file=sys.stderr)
         return EX_USAGE
-    from . import connection as conn_mod
-
-    dist = DISTRIBUTIONS[args.distribution]
-    lc = conn_mod.levi_civita(spec)
-    conn = conn_mod.bott(spec, lc, dist)
-    if args.perturbed:
-        conn = conn_mod.perturb(conn)
-    system = build_system(spec, conn)
+    system = pipeline.build(spec, args.distribution, args.perturbed).system
     lines = [
         f"custom algebra accepted (Jacobi screen passed, "
         f"{'symbolic' if args.symbolic_jacobi else 'sampled'})",

@@ -1,4 +1,9 @@
-"""Cached end-to-end computations per (group, eta, distribution, perturbed)."""
+"""The one place the chain is built: structure constants -> Levi-Civita ->
+Bott (-> perturbed) -> curvature -> Ricci -> soliton system.
+
+`build` runs the chain for any algebra and is uncached, so one-shot custom
+specs do not stay in memory.  `stage` is the cached catalog entry point.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ from functools import lru_cache
 
 from . import algebra, connection, curvature, soliton
 from .algebra import LieAlgebraSpec
-from .connection import Connection, Distribution
+from .connection import Connection
 from .curvature import BilinearForm, CurvatureTensor
 from .soliton import SolitonSystem
 
@@ -16,8 +21,7 @@ from .soliton import SolitonSystem
 class Stage:
     spec: LieAlgebraSpec
     levi_civita: Connection
-    bott: Connection | None
-    conn: Connection  # the connection the remaining stages are built on
+    conn: Connection  # the (perturbed) Bott connection the remaining stages are built on
     riemann: CurvatureTensor
     ricci: BilinearForm
     sym_ricci: BilinearForm
@@ -25,28 +29,32 @@ class Stage:
     system: SolitonSystem
 
 
-@lru_cache(maxsize=None)
-def stage(group: str, dist_name: str | None, perturbed: bool = False, eta_sign: int | None = None) -> Stage:
-    """Build every derived object for one configuration.
-
-    dist_name None means the Levi-Civita connection itself is the object of
-    interest (no Bott stage); perturbed requires a distribution.
-    """
-    spec = algebra.catalog(group, eta_sign=eta_sign)
+def build(spec: LieAlgebraSpec, dist_name: str, perturbed: bool = False) -> Stage:
+    """Build every derived object of one algebra for one distribution."""
     lc = connection.levi_civita(spec)
-    if dist_name is None:
-        conn = lc
-        bott_conn = None
-    else:
-        dist: Distribution = connection.DISTRIBUTIONS[dist_name]
-        bott_conn = connection.bott(spec, lc, dist)
-        conn = connection.perturb(bott_conn) if perturbed else bott_conn
+    conn = connection.bott(spec, lc, connection.DISTRIBUTIONS[dist_name])
+    if perturbed:
+        conn = connection.perturb(conn)
     curv = curvature.riemann(spec, conn)
     rho = curvature.ricci(curv)
     rho_sym = curvature.symmetrize(rho)
     lie = soliton.lie_derivative_form(conn, soliton.soliton_vector())
-    system = soliton.build_system(spec, conn)
-    return Stage(spec, lc, bott_conn, conn, curv, rho, rho_sym, lie, system)
+    system = soliton.build_system(spec, conn, rho_sym, lie)
+    return Stage(spec, lc, conn, curv, rho, rho_sym, lie, system)
+
+
+@lru_cache(maxsize=None)
+def _catalog_stage(group: str, dist_name: str, perturbed: bool, eta_sign: int | None) -> Stage:
+    return build(algebra.catalog(group, eta_sign=eta_sign), dist_name, perturbed)
+
+
+def stage(group: str, dist_name: str, perturbed: bool = False, eta_sign: int | None = None) -> Stage:
+    """Cached `build` of a catalog group; every call form shares one cache entry."""
+    return _catalog_stage(group, dist_name, bool(perturbed), eta_sign)
+
+
+stage.cache_clear = _catalog_stage.cache_clear
+stage.cache_info = _catalog_stage.cache_info
 
 
 def eta_signs(group: str) -> tuple:

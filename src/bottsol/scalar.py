@@ -440,17 +440,6 @@ class RatFun:
         return f"RatFun({self})"
 
 
-def poly_arith(a: Poly, b: Poly, kind: str) -> Poly:
-    """Ring operation dispatch: kind in {'add','sub','mul'}."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {kind!r}")
-
-
 # --------------------------------------------------------------------------
 # Expression grammar
 #
@@ -519,7 +508,10 @@ class _ExprParser:
         self.vector = vector
 
     def parse(self):
-        value = self._expr()
+        try:
+            value = self._expr()
+        except RecursionError:
+            raise ParseError("expression nested too deeply") from None
         if self.toks.peek() is not None:
             raise ParseError(f"trailing input at token {self.toks.peek()!r}")
         return value

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .algebra import METRIC_SIGNS, LieAlgebraSpec, Vec3, metric_pair
 from .connection import PERTURBED_BOTT, Connection, apply
-from .curvature import BilinearForm, ricci, riemann, symmetrize
+from .curvature import BilinearForm
 from .scalar import DenominatorZero, Poly, RatFun, poly_div_exact
 
 UNKNOWNS = ("mu1", "mu2", "mu3", "mu")
@@ -69,9 +69,11 @@ class SolitonSystem:
         return "\n".join(lines)
 
 
-def build_system(spec: LieAlgebraSpec, conn: Connection) -> SolitonSystem:
-    rho_sym = symmetrize(ricci(riemann(spec, conn)))
-    lie = lie_derivative_form(conn, soliton_vector())
+def build_system(
+    spec: LieAlgebraSpec, conn: Connection, rho_sym: BilinearForm, lie: BilinearForm
+) -> SolitonSystem:
+    """Assemble the system from the symmetrized Ricci form and the Lie-derivative
+    form that were built on `conn`."""
     mu = Poly.var("mu")
     equations = []
     for (i, j) in _PAIRS:

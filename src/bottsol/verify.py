@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import pipeline, registry
-from .curvature import curvature_delta
+from .algebra import Vec3
 from .registry import FamilyRecord, Fixture, TheoremRecord
 from .scalar import DenominatorZero, Poly, RatFun
 from .soliton import (
@@ -83,12 +83,12 @@ def _canonical_system(polys) -> list:
     return sorted(str(p.primitive()) for p in polys if not p.is_zero())
 
 
-def _vec_str(vec) -> str:
-    return str(vec)
-
-
 def _key_str(key) -> str:
     return ",".join(str(k) for k in key)
+
+
+def _render_vec(comps) -> str:
+    return str(Vec3(tuple(comps)))
 
 
 def _diff_tables(expected: dict, computed: dict, render) -> list:
@@ -108,97 +108,77 @@ def _diff_tables(expected: dict, computed: dict, render) -> list:
     return diffs
 
 
+def _diff_system(expected: list, computed: tuple) -> list:
+    expected = _canonical_system(expected)
+    computed = _canonical_system(computed)
+    diffs = []
+    for extra in sorted(set(expected) - set(computed)):
+        diffs.append(EntryDiff("equations", extra, "(no matching equation)"))
+    for extra in sorted(set(computed) - set(expected)):
+        diffs.append(EntryDiff("equations", "(no matching equation)", extra))
+    return diffs
+
+
+def _diff_delta(expected: dict, computed: dict, base: dict, render) -> list:
+    """Stored perturbed values at the listed keys; every other entry must be unchanged.
+
+    Changes are scanned with the first index at most the second.  A stored key
+    with those two indices swapped, such as (2,1) for a symmetric form, lists
+    the change at (1,2).
+    """
+    changed = {key for key, got in computed.items() if key[0] <= key[1] and got != base[key]}
+    diffs = []
+    for key in sorted(set(expected) | changed):
+        got = computed[key]
+        if key in expected:
+            if expected[key] != got:
+                diffs.append(EntryDiff(_key_str(key), render(expected[key]), render(got)))
+        elif (key[1], key[0], *key[2:]) not in expected:
+            diffs.append(
+                EntryDiff(
+                    _key_str(key),
+                    "(listed as unchanged)",
+                    f"{render(got)} (was {render(base[key])})",
+                )
+            )
+    return diffs
+
+
+def _vectors(rows) -> dict:
+    return {key: vec.c for key, vec in rows}
+
+
+# kind -> (Fixture loader method, computed entries of a stage, renderer).  The
+# loader is looked up by name on the fixture, so wrappers installed on the
+# Fixture class see the call.
+_FIXTURE_KINDS = {
+    "levi_civita": ("connection_table", lambda st: _vectors(st.levi_civita.rows()), _render_vec),
+    "bott": ("connection_table", lambda st: _vectors(st.conn.rows()), _render_vec),
+    "curvature": ("curvature_table", lambda st: _vectors(st.riemann.entries()), _render_vec),
+    "ricci": ("bilinear_table", lambda st: dict(st.ricci.entries()), str),
+    "sym_ricci": ("bilinear_table", lambda st: dict(st.sym_ricci.entries()), str),
+    "lie_derivative": ("bilinear_table", lambda st: dict(st.lie_derivative.entries()), str),
+    "system": ("system_equations", lambda st: st.system.equations, str),
+    "curvature_delta": ("delta_table", lambda st: _vectors(st.riemann.entries()), _render_vec),
+    "sym_ricci_delta": ("delta_table", lambda st: dict(st.sym_ricci.entries()), str),
+}
+
+
 def _verify_fixture_for_eta(fix: Fixture, eta: int | None) -> list:
-    stage = pipeline.stage(
-        fix.group,
-        None if fix.kind == "levi_civita" else fix.distribution,
-        perturbed=fix.perturbed,
-        eta_sign=eta,
-    )
-    if fix.kind == "levi_civita":
-        expected = fix.connection_table(eta=eta)
-        computed = {key: stage.levi_civita.row(*key).c for key in expected}
-        return _diff_tables(expected, computed, _render_vec)
-    if fix.kind == "bott":
-        expected = fix.connection_table(eta=eta)
-        computed = {key: stage.conn.row(*key).c for key in expected}
-        return _diff_tables(expected, computed, _render_vec)
-    if fix.kind == "curvature":
-        expected = fix.curvature_table(eta=eta)
-        computed = {key: stage.riemann.at(*key).c for key in expected}
-        return _diff_tables(expected, computed, _render_vec)
-    if fix.kind == "ricci":
-        expected = fix.bilinear_table(eta=eta)
-        computed = {key: stage.ricci.at(*key) for key in expected}
-        return _diff_tables(expected, computed, str)
-    if fix.kind == "sym_ricci":
-        expected = fix.bilinear_table(eta=eta)
-        computed = {key: stage.sym_ricci.at(*key) for key in expected}
-        return _diff_tables(expected, computed, str)
-    if fix.kind == "lie_derivative":
-        expected = fix.bilinear_table(eta=eta)
-        computed = {key: stage.lie_derivative.at(*key) for key in expected}
-        return _diff_tables(expected, computed, str)
+    """Diffs of one fixture at one G4 sign.  Levi-Civita tables are stored
+    under D, unperturbed, so the stage of the fixture's own configuration
+    holds every object a fixture compares against."""
+    if fix.kind not in _FIXTURE_KINDS:
+        raise registry.RegistryError(f"fixture {fix.id}: unknown kind {fix.kind}")
+    loader, computed_of, render = _FIXTURE_KINDS[fix.kind]
+    computed = computed_of(pipeline.stage(fix.group, fix.distribution, fix.perturbed, eta))
+    expected = getattr(fix, loader)(eta=eta)
     if fix.kind == "system":
-        expected = _canonical_system(fix.system_equations(eta=eta))
-        computed = _canonical_system(stage.system.equations)
-        diffs = []
-        for extra in sorted(set(expected) - set(computed)):
-            diffs.append(EntryDiff("equations", extra, "(no matching equation)"))
-        for extra in sorted(set(computed) - set(expected)):
-            diffs.append(EntryDiff("equations", "(no matching equation)", extra))
-        return diffs
-    if fix.kind == "curvature_delta":
-        base = pipeline.stage(fix.group, fix.distribution, perturbed=False, eta_sign=eta)
-        expected = fix.delta_table(eta=eta)  # full perturbed values at listed triples
-        delta = curvature_delta(base.riemann, stage.riemann)
-        diffs = []
-        for key in sorted(set(expected) | set(delta)):
-            if key in expected:
-                got = stage.riemann.at(*key).c
-                if tuple(expected[key]) != tuple(got):
-                    diffs.append(EntryDiff(_key_str(key), _render_vec(expected[key]), _render_vec(got)))
-            else:
-                base_v, pert_v = delta[key]
-                diffs.append(
-                    EntryDiff(
-                        _key_str(key),
-                        "(listed as unchanged)",
-                        f"{_render_vec(pert_v.c)} (was {_render_vec(base_v.c)})",
-                    )
-                )
-        return diffs
-    if fix.kind == "sym_ricci_delta":
-        base = pipeline.stage(fix.group, fix.distribution, perturbed=False, eta_sign=eta)
-        expected = fix.delta_table(eta=eta)
-        diffs = []
-        changed = set()
-        for i in (1, 2, 3):
-            for j in range(i, 4):
-                if base.sym_ricci.at(i, j) != stage.sym_ricci.at(i, j):
-                    changed.add((i, j))
-        for key in sorted(set(expected) | changed):
-            pair = tuple(sorted(key))
-            got = stage.sym_ricci.at(*key)
-            if key in expected:
-                if expected[key] != got:
-                    diffs.append(EntryDiff(_key_str(key), str(expected[key]), str(got)))
-            elif pair not in {tuple(sorted(k)) for k in expected}:
-                diffs.append(
-                    EntryDiff(
-                        _key_str(key),
-                        "(listed as unchanged)",
-                        f"{got} (was {base.sym_ricci.at(*key)})",
-                    )
-                )
-        return diffs
-    raise registry.RegistryError(f"fixture {fix.id}: unknown kind {fix.kind}")
-
-
-def _render_vec(comps) -> str:
-    from .algebra import Vec3
-
-    return str(Vec3(tuple(comps)))
+        return _diff_system(expected, computed)
+    if fix.kind.endswith("_delta"):
+        base = computed_of(pipeline.stage(fix.group, fix.distribution, False, eta))
+        return _diff_delta(expected, computed, base, render)
+    return _diff_tables(expected, {key: computed[key] for key in expected}, render)
 
 
 def verify_fixture(fix: Fixture, errata: set | None = None) -> FixtureReport:
@@ -434,16 +414,7 @@ def _einstein_system(system: SolitonSystem) -> SolitonSystem:
     for p in extra:
         if p not in eqs:
             eqs.append(p)
-    return SolitonSystem(
-        equations=tuple(eqs),
-        group=system.group,
-        distribution=system.distribution,
-        perturbed=system.perturbed,
-        eta_sign=system.eta_sign,
-        equality_constraints=system.equality_constraints,
-        nonzero_constraints=system.nonzero_constraints,
-        parameters=system.parameters,
-    )
+    return replace(system, equations=tuple(eqs))
 
 
 _EINSTEIN_ZERO = (("mu1", "0"), ("mu2", "0"), ("mu3", "0"))

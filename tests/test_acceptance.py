@@ -164,11 +164,12 @@ def test_criterion_6_negative_theorems(summary):
 
 
 def test_criterion_7_property_suite():
-    from bottsol.algebra import catalog_variants, jacobi_holds
+    from bottsol.algebra import catalog, jacobi_holds
     from bottsol.connection import levi_civita as lc_of
 
     for group in GROUPS:
-        for spec in catalog_variants(group):
+        for eta in eta_signs(group):
+            spec = catalog(group, eta_sign=eta)
             assert jacobi_holds(spec), group
             lc = lc_of(spec)
             for i in (1, 2, 3):

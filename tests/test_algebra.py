@@ -7,7 +7,6 @@ from bottsol.algebra import (
     Vec3,
     bracket,
     catalog,
-    catalog_variants,
     custom_spec,
     jacobi_defect,
     jacobi_holds,
@@ -15,6 +14,7 @@ from bottsol.algebra import (
     parse_custom_file,
     screen_jacobi,
 )
+from bottsol.pipeline import eta_signs
 from bottsol.scalar import Poly, parse_vector
 
 
@@ -56,8 +56,11 @@ class TestCatalog:
         assert [str(p) for p in catalog("G2").nonzero_constraints] == ["gamma"]
 
     def test_unimodularity_metadata(self):
-        assert all(catalog_variants(g)[0].unimodular for g in ("G1", "G2", "G3", "G4"))
-        assert not any(catalog_variants(g)[0].unimodular for g in ("G5", "G6", "G7"))
+        def first(g):
+            return catalog(g, eta_sign=eta_signs(g)[0])
+
+        assert all(first(g).unimodular for g in ("G1", "G2", "G3", "G4"))
+        assert not any(first(g).unimodular for g in ("G5", "G6", "G7"))
 
 
 class TestBracket:
@@ -76,7 +79,8 @@ class TestBracket:
 
     def test_structural_antisymmetry(self):
         for group in GROUPS:
-            for spec in catalog_variants(group):
+            for eta in eta_signs(group):
+                spec = catalog(group, eta_sign=eta)
                 for i in range(3):
                     for j in range(3):
                         assert spec.c[i][j] == -spec.c[j][i]
@@ -85,7 +89,8 @@ class TestBracket:
 class TestJacobi:
     def test_catalog_is_jacobi_flat(self):
         for group in GROUPS:
-            for spec in catalog_variants(group):
+            for eta in eta_signs(group):
+                spec = catalog(group, eta_sign=eta)
                 assert jacobi_holds(spec), f"{group} fails the Jacobi identity"
 
     def test_abelian(self):

@@ -1,8 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
 from bottsol.cli import EX_USAGE, main
+from bottsol.pipeline import stage
+
+# sha256 of `bottsol verify-all --format structured --seed 177147`.
+REPORT_DIGEST = "ad98388ae167c071a3872bcc8f97ddb8085863d09bd2458b71b8f5c02d3ccc86"
 
 
 def run(capsys, *argv):
@@ -80,6 +85,11 @@ class TestVerifyCommands:
         code3, out3, _ = run(capsys, *args, "--timing")
         assert "elapsed_ms" in out3 and "elapsed_ms" not in out1
 
+    def test_default_report_is_unchanged(self, capsys):
+        code, out, _ = run(capsys, "verify-all", "--format", "structured", "--seed", "177147")
+        assert code == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGEST
+
 
 class TestCheckCustom:
     GOOD = "[e1,e2] = gamma*e3\n[e1,e3] = 0\n[e2,e3] = 0\nrequire_nonzero gamma\n"
@@ -110,6 +120,30 @@ class TestCheckCustom:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check-custom", "--spec-file", "/nonexistent.alg")
         assert code == EX_USAGE
+
+    @pytest.mark.parametrize("row", ["(1/0)*e3", "(" * 3000 + "e3" + ")" * 3000])
+    def test_hostile_row_is_input_error(self, tmp_path, capsys, row):
+        path = tmp_path / "hostile.alg"
+        path.write_text(f"[e1,e2] = {row}\n[e1,e3] = 0\n[e2,e3] = 0\n")
+        code, _, err = run(capsys, "check-custom", "--spec-file", str(path))
+        assert code == EX_USAGE and "invalid algebra: line 1" in err
+
+    def test_catalog_rows_give_catalog_systems(self, tmp_path, capsys):
+        path = tmp_path / "g1.alg"
+        path.write_text(
+            "[e1,e2] = alpha*e1 - beta*e3\n"
+            "[e1,e3] = -alpha*e1 - beta*e2\n"
+            "[e2,e3] = beta*e1 + alpha*e2 + alpha*e3\n"
+            "require_nonzero alpha\n"
+        )
+        for dist in ("D", "D1", "D2"):
+            for perturbed in (False, True):
+                argv = ["check-custom", "--spec-file", str(path), "--distribution", dist,
+                        "--format", "structured"] + (["--perturbed"] if perturbed else [])
+                code, out, _ = run(capsys, *argv)
+                assert code == 0
+                expected = [str(eq) for eq in stage("G1", dist, perturbed).system.equations]
+                assert json.loads(out)["equations"] == expected, (dist, perturbed)
 
 
 def test_list_command(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from bottsol.algebra import GROUPS, Vec3, bracket, catalog_variants, custom_spec, metric_pair
+from bottsol.algebra import GROUPS, Vec3, bracket, catalog, custom_spec, metric_pair
 from bottsol.connection import (
     DISTRIBUTIONS,
     Distribution,
@@ -10,7 +10,7 @@ from bottsol.connection import (
     levi_civita,
     perturb,
 )
-from bottsol.pipeline import stage
+from bottsol.pipeline import eta_signs, stage
 from bottsol.scalar import Poly, parse_vector
 
 E = [None, Vec3.basis(1), Vec3.basis(2), Vec3.basis(3)]
@@ -22,13 +22,13 @@ def V(text, eta=None):
 
 def all_specs():
     for group in GROUPS:
-        for spec in catalog_variants(group):
-            yield spec
+        for eta in eta_signs(group):
+            yield catalog(group, eta_sign=eta)
 
 
 class TestLeviCivita:
     def test_g1_first_row(self):
-        lc = stage("G1", None).levi_civita
+        lc = stage("G1", "D").levi_civita
         assert lc.row(1, 1) == V("-alpha*e2 - alpha*e3")
 
     def test_abelian_connection_vanishes(self):
@@ -37,7 +37,7 @@ class TestLeviCivita:
         assert all(vec.is_zero() for _, vec in lc.rows())
 
     def test_g3_shorthand_entry(self):
-        lc = stage("G3", None).levi_civita
+        lc = stage("G3", "D").levi_civita
         assert lc.row(1, 2) == V("(alpha - beta - gamma)/2*e3")
 
     def test_torsion_free(self):
@@ -75,7 +75,7 @@ class TestBott:
         assert conn.row(2, 1) == V("-alpha*e1 + beta*e3")
 
     def test_requires_levi_civita_input(self):
-        spec = catalog_variants("G1")[0]
+        spec = catalog("G1")
         lc = levi_civita(spec)
         b = bott(spec, lc, DISTRIBUTIONS["D"])
         with pytest.raises(KindMismatch):
@@ -125,7 +125,7 @@ class TestPerturb:
                 assert delta == Vec3.basis(n).scale(Poly.var("a0"))
 
     def test_kind_mismatch(self):
-        lc = stage("G1", None).levi_civita
+        lc = stage("G1", "D").levi_civita
         with pytest.raises(KindMismatch):
             perturb(lc)
 

@@ -3,15 +3,13 @@ from fractions import Fraction
 import pytest
 
 from bottsol.algebra import Vec3, custom_spec
-from bottsol.connection import DISTRIBUTIONS, bott, levi_civita
-from bottsol.pipeline import all_configurations, stage
+from bottsol.pipeline import all_configurations, build, stage
 from bottsol.scalar import parse_poly, parse_ratfun
 from bottsol.soliton import (
     ConstraintViolated,
     InconsistentFamily,
     SolutionFamily,
     assert_affine_linear,
-    build_system,
     check_family,
     decide_at_point,
     grid_points,
@@ -71,8 +69,7 @@ class TestBuildSystem:
 
     def test_abelian_system_collapses_to_mu(self):
         spec = custom_spec({(1, 2): Vec3.zero(), (1, 3): Vec3.zero(), (2, 3): Vec3.zero()})
-        conn = bott(spec, levi_civita(spec), DISTRIBUTIONS["D"])
-        system = build_system(spec, conn)
+        system = build(spec, "D").system
         assert [canon(eq) for eq in system.equations] == ["mu"]
 
     def test_affine_linearity_all_42_systems(self):

@@ -171,31 +171,41 @@ def _fixture_lines(rep) -> list:
     return lines
 
 
+def _select(records, ids, what):
+    """The records named by --id (all of them without one), or None after
+    reporting ids that name no record."""
+    if not ids:
+        return records
+    wanted = set(ids)
+    chosen = [r for r in records if r.id in wanted]
+    missing = wanted - {r.id for r in chosen}
+    if missing:
+        print(f"unknown {what} ids: {sorted(missing)}", file=sys.stderr)
+        return None
+    return chosen
+
+
+def _fixture_summary_line(counts) -> str:
+    return (f"fixtures: {counts['match']} match, {counts['known_discrepancy']} known discrepancies, "
+            f"{counts['mismatch']} mismatches")
+
+
 def _cmd_verify_fixture(args) -> int:
     errata = registry.errata_signatures()
-    fixtures = registry.load_fixtures()
-    if args.id:
-        wanted = set(args.id)
-        fixtures = [f for f in fixtures if f.id in wanted]
-        missing = wanted - {f.id for f in fixtures}
-        if missing:
-            print(f"unknown fixture ids: {sorted(missing)}", file=sys.stderr)
-            return EX_USAGE
-    reports = [verify.verify_fixture(fix, errata) for fix in fixtures]
+    fixtures = _select(registry.load_fixtures(), args.id, "fixture")
+    if fixtures is None:
+        return EX_USAGE
+    summary = verify.RunSummary(fixture_reports=[verify.verify_fixture(f, errata) for f in fixtures])
     lines = []
-    for rep in reports:
+    for rep in summary.fixture_reports:
         lines.extend(_fixture_lines(rep))
-    counts = {"match": 0, "known_discrepancy": 0, "mismatch": 0}
-    for rep in reports:
-        counts[rep.status] += 1
-    lines.append(
-        f"fixtures: {counts['match']} match, {counts['known_discrepancy']} known discrepancies, "
-        f"{counts['mismatch']} mismatches"
-    )
-    _emit(args, lines, {"fixtures": [rep.to_json() for rep in reports], "summary": counts})
-    if counts["mismatch"]:
-        return 1
-    return 2 if counts["known_discrepancy"] else 0
+    counts = summary.counts()
+    lines.append(_fixture_summary_line(counts))
+    _emit(args, lines, {
+        "fixtures": [rep.to_json() for rep in summary.fixture_reports],
+        "summary": {status: counts[status] for status in verify.FIXTURE_STATUSES},
+    })
+    return summary.exit_code()
 
 
 def _theorem_lines(rep) -> list:
@@ -219,27 +229,20 @@ def _theorem_lines(rep) -> list:
 
 
 def _cmd_verify_theorem(args) -> int:
-    records = registry.load_theorems()
-    if args.id:
-        wanted = set(args.id)
-        records = [r for r in records if r.id in wanted]
-        missing = wanted - {r.id for r in records}
-        if missing:
-            print(f"unknown theorem ids: {sorted(missing)}", file=sys.stderr)
-            return EX_USAGE
-    reports = [
+    records = _select(registry.load_theorems(), args.id, "theorem")
+    if records is None:
+        return EX_USAGE
+    summary = verify.RunSummary(theorem_reports=[
         verify.verify_theorem(rec, minimum_points=args.samples,
                               spot_points=args.spot_samples, seed=args.seed)
         for rec in records
-    ]
+    ])
     lines = []
-    for rep in reports:
+    for rep in summary.theorem_reports:
         lines.extend(_theorem_lines(rep))
-    _emit(args, lines,
-          {"theorems": [rep.to_json(timing=args.timing) for rep in reports], "seed": args.seed})
-    if any(rep.status == verify.REFUTED for rep in reports):
-        return 1
-    return 2 if any(rep.status == verify.DISCREPANCY for rep in reports) else 0
+    _emit(args, lines, {"theorems": [rep.to_json(timing=args.timing)
+                                     for rep in summary.theorem_reports], "seed": args.seed})
+    return summary.exit_code()
 
 
 def _cmd_verify_all(args) -> int:
@@ -253,10 +256,7 @@ def _cmd_verify_all(args) -> int:
         if rep.status != verify.CONFIRMED:
             lines.extend(_theorem_lines(rep))
     counts = summary.counts()
-    lines.append(
-        f"fixtures: {counts['match']} match, {counts['known_discrepancy']} known discrepancies, "
-        f"{counts['mismatch']} mismatches"
-    )
+    lines.append(_fixture_summary_line(counts))
     lines.append(
         f"theorems: {counts['confirmed']} confirmed, {counts['discrepancy']} discrepancies, "
         f"{counts['refuted']} refuted"

@@ -23,7 +23,7 @@ while parsing, so the polynomial alphabet itself never contains it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from importlib import resources
 from typing import Iterable
 
@@ -233,115 +233,71 @@ def _parse_kv(kv_text: str) -> dict:
     return out
 
 
+# (directive, is_completion) -> the FamilyRecord field its lines fill.
+_FAMILY_FIELDS = {
+    ("bind", False): "bindings",
+    ("zero", False): "side_equal",
+    ("nonzero", False): "side_nonzero",
+    ("bind", True): "completion_bindings",
+    ("zero", True): "completion_equal",
+    ("nonzero", True): "completion_nonzero",
+}
+
+
+def _freeze(value):
+    """Replace the lists a loader filled by tuples, inside records too."""
+    if isinstance(value, list):
+        return tuple(_freeze(v) for v in value)
+    if is_dataclass(value):
+        return replace(value, **{f.name: _freeze(getattr(value, f.name)) for f in fields(value)})
+    return value
+
+
 def load_theorems() -> list:
-    text = _data_text("theorems.tab")
     records: list = []
-    current: dict | None = None
-    family: dict | None = None
-    clause: dict | None = None
-
-    def flush_family():
-        nonlocal family
-        if family is not None:
-            rec = FamilyRecord(
-                label=family["label"],
-                printed_label=family["label"].rstrip("ab"),
-                bindings=tuple(family["bind"]),
-                side_equal=tuple(family["zero"]),
-                side_nonzero=tuple(family["nonzero"]),
-                completion_bindings=tuple(family["cbind"]),
-                completion_equal=tuple(family["czero"]),
-                completion_nonzero=tuple(family["cnonzero"]),
-            )
-            if clause is not None:
-                clause["families"].append(rec)
-            else:
-                current["families"].append(rec)
-        family = None
-
-    def flush_clause():
-        nonlocal clause
-        flush_family()
-        if clause is not None:
-            current["clauses"].append(
-                ClauseRecord(clause["group"], clause["kind"], tuple(clause["families"]))
-            )
-        clause = None
-
-    def flush_record():
-        nonlocal current
-        flush_clause()
-        if current is not None:
-            records.append(
-                TheoremRecord(
-                    id=current["id"],
-                    group=current.get("group"),
-                    distribution=current["dist"],
-                    perturbed=current.get("perturbed", False),
-                    kind=current["kind"],
-                    families=tuple(current["families"]),
-                    clauses=tuple(current["clauses"]),
-                )
-            )
-        current = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    families = family = None  # the list new families join; the family being read
+    for lineno, raw in enumerate(_data_text("theorems.tab").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         m = _THM_HEADER.match(line)
         if m:
-            flush_record()
             kv = _parse_kv(m.group(3))
-            current = {
-                "id": m.group(2),
-                "dist": kv.get("dist"),
-                "kind": kv.get("kind"),
-                "perturbed": kv.get("perturbed", False),
-                "group": kv.get("group"),
-                "families": [],
-                "clauses": [],
-            }
+            records.append(TheoremRecord(m.group(2), kv.get("group"), kv.get("dist"),
+                                         kv.get("perturbed", False), kv.get("kind"), [], []))
+            families, family = records[-1].families, None
             continue
-        if current is None:
+        if not records:
             raise RegistryError(f"theorems line {lineno}: content before first block")
         if line.startswith("clause "):
-            flush_clause()
-            m2 = re.match(r"^clause\s+(\w+)\s+(\w+):$", line)
-            if not m2:
+            m = re.match(r"^clause\s+(\w+)\s+(\w+):$", line)
+            if not m:
                 raise RegistryError(f"theorems line {lineno}: bad clause header")
-            clause = {"group": m2.group(1), "kind": m2.group(2), "families": []}
+            records[-1].clauses.append(ClauseRecord(m.group(1), m.group(2), []))
+            families, family = records[-1].clauses[-1].families, None
             continue
         if line.startswith("family "):
-            flush_family()
-            m2 = re.match(r"^family\s+(\w+):$", line)
-            if not m2:
+            m = re.match(r"^family\s+(\w+):$", line)
+            if not m:
                 raise RegistryError(f"theorems line {lineno}: bad family header")
-            family = {
-                "label": m2.group(1),
-                "bind": [],
-                "zero": [],
-                "nonzero": [],
-                "cbind": [],
-                "czero": [],
-                "cnonzero": [],
-            }
+            family = FamilyRecord(m.group(1), m.group(1).rstrip("ab"),
+                                  **{name: [] for name in _FAMILY_FIELDS.values()})
+            families.append(family)
             continue
         completion = line.startswith("completion ")
         body = line[len("completion "):] if completion else line
         if family is None:
             raise RegistryError(f"theorems line {lineno}: directive outside a family")
-        if body.startswith("bind "):
-            name, _, expr = body[len("bind "):].partition("=")
-            family["cbind" if completion else "bind"].append((name.strip(), expr.strip()))
-        elif body.startswith("zero "):
-            family["czero" if completion else "zero"].append(body[len("zero "):].strip())
-        elif body.startswith("nonzero "):
-            family["cnonzero" if completion else "nonzero"].append(body[len("nonzero "):].strip())
-        else:
+        directive, space, arg = body.partition(" ")
+        if not space or (directive, completion) not in _FAMILY_FIELDS:
             raise RegistryError(f"theorems line {lineno}: unknown directive {body!r}")
-    flush_record()
-    return records
+        if directive == "bind":
+            name, _, expr = arg.partition("=")
+            entry = (name.strip(), expr.strip())
+        else:
+            entry = arg.strip()
+        getattr(family, _FAMILY_FIELDS[directive, completion]).append(entry)
+    return [_freeze(rec) for rec in records]
 
 
 def theorem_index() -> dict:

@@ -49,6 +49,18 @@ class ParseError(ScalarError):
     """Malformed coefficient expression."""
 
 
+def _power(base, n: int, one, mul):
+    """base^n for a non-negative integer n, by repeated squaring."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return result
+
+
 def _grlex_key(exp: Exponent):
     # Sort key so that sorted(..., reverse=True) lists the leading monomial first.
     return (sum(exp), exp)
@@ -132,10 +144,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        result = Poly.const(1)
-        for _ in range(n):
-            result = result * self
-        return result
+        return _power(self, n, Poly.const(1), Poly.__mul__)
 
     def __eq__(self, other) -> bool:
         other = Poly._coerce(other)
@@ -144,6 +153,9 @@ class Poly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # A constant equals its number, so it hashes like that number.
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash(frozenset(self.terms.items()))
 
     # -- queries -----------------------------------------------------------
@@ -293,6 +305,8 @@ def poly_div_exact(num: Poly, den: Poly) -> Poly | None:
         return None
     if num.is_zero():
         return Poly.zero()
+    if den.is_constant():
+        return num.scaled(1 / den.constant_value())
     lead_e, lead_c = den.leading()
     q: dict = {}
     rest = num
@@ -395,10 +409,7 @@ class RatFun:
     def pow(self, n: int) -> "RatFun":
         if n < 0:
             raise ValueError("use explicit division for negative powers")
-        out = RatFun.from_poly(Poly.const(1))
-        for _ in range(n):
-            out = out * self
-        return out
+        return _power(self, n, RatFun.from_poly(Poly.const(1)), RatFun.__mul__)
 
     def __eq__(self, other) -> bool:
         try:
@@ -408,7 +419,9 @@ class RatFun:
         return (self.num * other.den) == (other.num * self.den)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # Equal values need not share a (num, den) pair: there is no
+        # multivariate gcd, so no hash can agree with ==.
+        raise TypeError("RatFun is unhashable")
 
     def substitute(self, bindings: Mapping[str, "RatFun | Poly | int | Fraction"]) -> "RatFun":
         den = self.den.substitute(bindings)
@@ -569,11 +582,8 @@ class _ExprParser:
             exp_tok = self.toks.next()
             if not exp_tok.isdigit():
                 raise ParseError(f"exponent must be a non-negative integer, got {exp_tok!r}")
-            n = int(exp_tok)
-            out = {(0, 0, 0): RatFun.from_poly(Poly.const(1))}
-            for _ in range(n):
-                out = self._mul(out, value)
-            return out
+            return _power(value, int(exp_tok), {(0, 0, 0): RatFun.from_poly(Poly.const(1))},
+                          self._mul)
         return value
 
     def _atom(self):

@@ -18,18 +18,19 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from . import pipeline, registry
 from .algebra import Vec3
 from .registry import FamilyRecord, Fixture, TheoremRecord
-from .scalar import DenominatorZero, Poly, RatFun
+from .scalar import DenominatorZero, Poly, RatFun, parse_poly, parse_ratfun
 from .soliton import (
     DEFAULT_SEED,
     UNKNOWNS,
+    ConstraintViolated,
     InconsistentFamily,
     SolitonSystem,
     SolutionFamily,
+    _solve_equalities,
     check_family,
     decide_at_point,
     sample_plan,
@@ -42,6 +43,8 @@ KNOWN_DISCREPANCY = "known_discrepancy"
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
 DISCREPANCY = "discrepancy"
+
+FIXTURE_STATUSES = (MATCH, KNOWN_DISCREPANCY, MISMATCH)
 
 
 @dataclass(frozen=True)
@@ -272,8 +275,6 @@ class TheoremReport:
 
 
 def _family_from_record(rec: FamilyRecord, eta, completed: bool) -> SolutionFamily:
-    from .scalar import parse_poly, parse_ratfun
-
     bindings = list(rec.bindings) + (list(rec.completion_bindings) if completed else [])
     side_eq = list(rec.side_equal) + (list(rec.completion_equal) if completed else [])
     side_nz = list(rec.side_nonzero) + (list(rec.completion_nonzero) if completed else [])
@@ -291,21 +292,20 @@ def _spot_check_family(
     count: int,
     seed: int,
 ) -> int:
-    """Instantiate the family at admissible random points; each point must
-    solve every equation exactly and decide_at_point must agree.  Returns the
-    number of points checked; raises AssertionError on any failure."""
+    """Instantiate the family at random points that decide_at_point admits and
+    that keep the family's nonzero side conditions; each point must solve
+    every equation exactly and decide_at_point must find it solvable.
+    Returns the number of points checked; raises AssertionError on any
+    failure."""
     rng = random.Random(seed)
     binds = family.closed_bindings()
-    bound = set(binds)
-    free_names = [n for n in list(system.parameters) + list(UNKNOWNS) if n not in bound]
+    free_names = [n for n in list(system.parameters) + list(UNKNOWNS) if n not in binds]
 
     reduced_eqs = []
     for poly in list(system.equality_constraints) + list(family.side_equal):
         r = RatFun.from_poly(poly).substitute(binds)
         if not r.is_zero():
             reduced_eqs.append(r.num)
-
-    from .soliton import _solve_equalities
 
     done = 0
     attempts = 0
@@ -318,19 +318,11 @@ def _spot_check_family(
             full = dict(point)
             for name, val in binds.items():
                 full[name] = val.eval_at(point)
-        except DenominatorZero:
+            group_point = {k: v for k, v in full.items() if k not in UNKNOWNS}
+            verdict = decide_at_point(system, group_point)
+        except (DenominatorZero, ConstraintViolated):
             continue
-        try:
-            ok = all(c.eval_at(full) == 0 for c in system.equality_constraints)
-            ok = ok and all(c.eval_at(full) != 0 for c in system.nonzero_constraints)
-            ok = ok and all(
-                RatFun.from_poly(p).eval_at(full) != 0 for p in family.side_nonzero
-            )
-            if system.perturbed:
-                ok = ok and full.get("a0", Fraction(1)) != 0
-        except DenominatorZero:
-            continue
-        if not ok:
+        if any(p.eval_at(full) == 0 for p in family.side_nonzero):
             continue
         for eq in system.equations:
             value = eq.eval_at(full)
@@ -338,8 +330,6 @@ def _spot_check_family(
                 raise AssertionError(
                     f"family {family.label}: equation {eq} = {value} != 0 at {full}"
                 )
-        group_point = {k: v for k, v in full.items() if k not in UNKNOWNS}
-        verdict = decide_at_point(system, group_point)
         if not verdict.solvable:
             raise AssertionError(
                 f"family {family.label}: decide_at_point inconsistent at {group_point}"
@@ -367,45 +357,30 @@ def _verify_family(
     if verdict.satisfied:
         checked = _spot_check_family(system, literal, spot_points, seed)
         return FamilyReport(rec.label, rec.printed_label, CONFIRMED, spot_checks=checked)
-    equation = str(system.equations[verdict.equation_index])
-    residual = str(verdict.residual)
-    if not rec.has_completion():
-        return FamilyReport(
-            rec.label, rec.printed_label, DISCREPANCY, residual=residual, equation=equation
-        )
     # Completions document the corrected statement; they are checked
     # symbolically only (some corrected side conditions, e.g. sums of two
     # squares, have no generic rational parametrization to sample from).
-    completed = _family_from_record(rec, eta, completed=True)
-    completed_verdict = check_family(system, completed)
-    if completed_verdict.satisfied:
-        return FamilyReport(
-            rec.label,
-            rec.printed_label,
-            DISCREPANCY,
-            residual=residual,
-            equation=equation,
-            completion_status=CONFIRMED,
-        )
+    completion_status = None
+    if rec.has_completion():
+        completed = check_family(system, _family_from_record(rec, eta, completed=True))
+        completion_status = CONFIRMED if completed.satisfied else REFUTED
     return FamilyReport(
         rec.label,
         rec.printed_label,
         DISCREPANCY,
-        residual=residual,
-        equation=equation,
-        completion_status=REFUTED,
+        residual=str(verdict.residual),
+        equation=str(system.equations[verdict.equation_index]),
+        completion_status=completion_status,
     )
 
 
-def _verify_not_soliton(
-    system: SolitonSystem, minimum: int, seed: int
-) -> tuple:
-    points = sample_plan(system, minimum=minimum, seed=seed)
+def _witness(system: SolitonSystem, points: list) -> str | None:
+    """The first sample point at which the system has a solution, described."""
     for point in points:
         verdict = decide_at_point(system, point)
         if verdict.solvable:
-            return REFUTED, len(points), f"point {point} admits {verdict}"
-    return CONFIRMED, len(points), None
+            return f"point {point} admits {verdict}"
+    return None
 
 
 def _einstein_system(system: SolitonSystem) -> SolitonSystem:
@@ -420,78 +395,73 @@ def _einstein_system(system: SolitonSystem) -> SolitonSystem:
 _EINSTEIN_ZERO = (("mu1", "0"), ("mu2", "0"), ("mu3", "0"))
 
 
+def _claims(rec: TheoremRecord) -> list:
+    """The record as (group, einstein, families) claims.  `families` None
+    claims that no soliton exists.  An Einstein claim is a soliton claim
+    with mu1 = mu2 = mu3 = 0."""
+    if rec.kind == "not_soliton":
+        return [(rec.group, False, None)]
+    if rec.kind == "families":
+        return [(rec.group, False, rec.families)]
+    if rec.kind != "einstein":
+        raise registry.RegistryError(f"unknown theorem kind {rec.kind}")
+    claims = []
+    for clause in rec.clauses:
+        if clause.kind == "not_einstein":
+            claims.append((clause.group, True, None))
+        elif clause.kind == "einstein":
+            families = tuple(
+                replace(
+                    fam,
+                    label=f"{clause.group}.{fam.label}",
+                    printed_label=f"{clause.group}.{fam.printed_label}",
+                    bindings=_EINSTEIN_ZERO + fam.bindings,
+                )
+                for fam in clause.families
+            )
+            claims.append((clause.group, True, families))
+        else:
+            raise registry.RegistryError(f"unknown clause kind {clause.kind}")
+    return claims
+
+
 def verify_theorem(
     rec: TheoremRecord,
     minimum_points: int = 100,
     spot_points: int = 25,
     seed: int = DEFAULT_SEED,
 ) -> TheoremReport:
+    """Check every claim of the record at each G4 sign.  A theorem's
+    no-soliton claim stops at its first refuted sign; an Einstein corollary
+    checks every clause and names the group in its witness."""
     started = time.perf_counter()
     family_reports: list = []
     points_checked = 0
     witness = None
-
-    def systems_for(group: str):
+    for group, einstein, families in _claims(rec):
         for eta in pipeline.eta_signs(group):
-            yield eta, pipeline.stage(group, rec.distribution, rec.perturbed, eta).system
-
-    if rec.kind == "not_soliton":
-        status = CONFIRMED
-        for eta, system in systems_for(rec.group):
-            verdict, n, w = _verify_not_soliton(system, minimum_points, seed)
-            points_checked += n
-            if verdict == REFUTED:
-                status, witness = REFUTED, w
-                break
-    elif rec.kind == "families":
-        status = CONFIRMED
-        for eta, system in systems_for(rec.group):
-            for fam in rec.families:
-                report = _verify_family(system, fam, eta, spot_points, seed)
-                family_reports.append(report)
-                points_checked += report.spot_checks
-        if any(f.completion_status == REFUTED for f in family_reports) or any(
-            f.status == REFUTED for f in family_reports
-        ):
-            status = REFUTED
-        elif any(f.status == DISCREPANCY for f in family_reports):
-            status = DISCREPANCY
-    elif rec.kind == "einstein":
-        status = CONFIRMED
-        for clause in rec.clauses:
-            for eta in pipeline.eta_signs(clause.group):
-                system = pipeline.stage(clause.group, rec.distribution, rec.perturbed, eta).system
-                if clause.kind == "not_einstein":
-                    verdict, n, w = _verify_not_soliton(
-                        _einstein_system(system), minimum_points, seed
-                    )
-                    points_checked += n
-                    if verdict == REFUTED:
-                        status, witness = REFUTED, f"{clause.group}: {w}"
-                elif clause.kind == "einstein":
-                    for fam in clause.families:
-                        fam0 = FamilyRecord(
-                            label=f"{clause.group}.{fam.label}",
-                            printed_label=f"{clause.group}.{fam.printed_label}",
-                            bindings=tuple(_EINSTEIN_ZERO) + fam.bindings,
-                            side_equal=fam.side_equal,
-                            side_nonzero=fam.side_nonzero,
-                            completion_bindings=fam.completion_bindings,
-                            completion_equal=fam.completion_equal,
-                            completion_nonzero=fam.completion_nonzero,
-                        )
-                        report = _verify_family(system, fam0, eta, spot_points, seed)
-                        family_reports.append(report)
-                        points_checked += report.spot_checks
-                else:
-                    raise registry.RegistryError(f"unknown clause kind {clause.kind}")
-        if any(f.status == REFUTED or f.completion_status == REFUTED for f in family_reports):
-            status = REFUTED
-        elif any(f.status == DISCREPANCY for f in family_reports) and status != REFUTED:
-            status = DISCREPANCY
+            system = pipeline.stage(group, rec.distribution, rec.perturbed, eta).system
+            if families is not None:
+                for fam in families:
+                    report = _verify_family(system, fam, eta, spot_points, seed)
+                    family_reports.append(report)
+                    points_checked += report.spot_checks
+                continue
+            if einstein:
+                system = _einstein_system(system)
+            points = sample_plan(system, minimum=minimum_points, seed=seed)
+            points_checked += len(points)
+            found = _witness(system, points)
+            if found is not None:
+                witness = f"{group}: {found}" if einstein else found
+                if not einstein:
+                    break
+    if witness is not None or any(f.completion_status == REFUTED for f in family_reports):
+        status = REFUTED
+    elif any(f.status == DISCREPANCY for f in family_reports):
+        status = DISCREPANCY
     else:
-        raise registry.RegistryError(f"unknown theorem kind {rec.kind}")
-
+        status = CONFIRMED
     return TheoremReport(
         rec.id,
         rec.group,
@@ -517,7 +487,7 @@ class RunSummary:
     theorem_reports: list = field(default_factory=list)
 
     def counts(self) -> dict:
-        out = {MATCH: 0, KNOWN_DISCREPANCY: 0, MISMATCH: 0, CONFIRMED: 0, DISCREPANCY: 0, REFUTED: 0}
+        out = dict.fromkeys(FIXTURE_STATUSES + (CONFIRMED, DISCREPANCY, REFUTED), 0)
         for rep in self.fixture_reports:
             out[rep.status] += 1
         for rep in self.theorem_reports:
@@ -525,6 +495,7 @@ class RunSummary:
         return out
 
     def exit_code(self) -> int:
+        """1 on a mismatch or refutation, 2 on known discrepancies only, else 0."""
         counts = self.counts()
         if counts[MISMATCH] or counts[REFUTED]:
             return 1

@@ -8,6 +8,9 @@ from bottsol.pipeline import stage
 
 # sha256 of `bottsol verify-all --format structured --seed 177147`.
 REPORT_DIGEST = "ad98388ae167c071a3872bcc8f97ddb8085863d09bd2458b71b8f5c02d3ccc86"
+# sha256 of `bottsol verify-theorem --id C3.5 --id 2.5 --id 5.16 --format structured`:
+# both Einstein clause kinds, a no-soliton claim, and families with a discrepancy.
+THEOREM_PATH_DIGEST = "67a955d7bb0f91203c4a242a8331cd7fc93d140206fce1de9d24e52703c1a550"
 
 
 def run(capsys, *argv):
@@ -66,6 +69,7 @@ class TestVerifyCommands:
     def test_verify_unknown_id(self, capsys):
         code, _, err = run(capsys, "verify-fixture", "--id", "99.99")
         assert code == EX_USAGE
+        assert "unknown fixture ids: ['99.99']" in err
 
     def test_verify_theorem_confirmed(self, capsys):
         code, out, _ = run(capsys, "verify-theorem", "--id", "2.5", "--samples", "100")
@@ -89,6 +93,17 @@ class TestVerifyCommands:
         code, out, _ = run(capsys, "verify-all", "--format", "structured", "--seed", "177147")
         assert code == 2
         assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGEST
+
+    def test_theorem_path_report_is_unchanged(self, capsys):
+        code, out, _ = run(capsys, "verify-theorem", "--id", "C3.5", "--id", "2.5",
+                           "--id", "5.16", "--format", "structured")
+        assert code == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == THEOREM_PATH_DIGEST
+
+    def test_verify_unknown_theorem_id(self, capsys):
+        code, _, err = run(capsys, "verify-theorem", "--id", "2.5", "--id", "99.99")
+        assert code == EX_USAGE
+        assert "unknown theorem ids: ['99.99']" in err
 
 
 class TestCheckCustom:

@@ -168,3 +168,38 @@ def test_substitute_then_eval_commutes(p, x, y, z):
     direct_point["alpha"] = x + 1
     direct_point["gamma"] = 2 * x
     assert p.substitute(bindings).eval_at(point) == p.eval_at(direct_point)
+
+
+@given(polys(), polys(), polys(), _coeffs)
+@settings(max_examples=60, deadline=None)
+def test_hash_agrees_with_equality(a, b, c, k):
+    assert hash(a * (b + c)) == hash(a * b + a * c)
+    assert hash(Poly.const(k)) == hash(k)
+    assert hash(Poly.const(k.numerator)) == hash(k.numerator)
+    with pytest.raises(TypeError):
+        hash(RatFun.from_poly(a))
+
+
+def test_equal_ratfuns_are_unhashable():
+    a = parse_ratfun("(alpha*beta + alpha)/(alpha*gamma + alpha)")
+    b = parse_ratfun("(beta + 1)/(gamma + 1)")
+    assert a == b
+    for value in (a, b):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+@given(polys(), st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_power_is_repeated_product(p, n):
+    expected = Poly.const(1)
+    for _ in range(n):
+        expected = expected * p
+    assert p ** n == expected
+    assert RatFun.from_poly(p).pow(n) == RatFun.from_poly(expected)
+
+
+def test_large_exponent():
+    p = parse_poly("(alpha+beta+gamma+1)^24")
+    assert len(p.terms) == 2925
+    assert p.terms[(1, 1, 1) + (0,) * 6] == 24 * 23 * 22

@@ -1,7 +1,7 @@
 import pytest
 
 from bottsol import registry
-from bottsol.registry import Fixture, FamilyRecord, TheoremRecord
+from bottsol.registry import ClauseRecord, Fixture, FamilyRecord, TheoremRecord
 from bottsol.verify import (
     CONFIRMED,
     DISCREPANCY,
@@ -124,6 +124,17 @@ class TestVerifyTheorem:
         assert report.status == CONFIRMED
         assert len(report.families) == 4  # the positive clauses
         assert report.points_checked > 0
+
+    def test_false_not_einstein_clause_is_refuted(self):
+        # G3 on D has Einstein solitons (C3.5), so a clause denying them fails.
+        fake = TheoremRecord(
+            id="fakeE", group=None, distribution="D", perturbed=False, kind="einstein",
+            clauses=(ClauseRecord("G3", "not_einstein"),),
+        )
+        report = verify_theorem(fake, minimum_points=30)
+        assert report.status == REFUTED
+        assert report.points_checked == 266
+        assert report.witness.startswith("G3: point ")
 
 
 class TestRegistryCompleteness:

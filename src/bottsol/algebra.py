@@ -10,11 +10,11 @@ stay literally comparable with the reference tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .scalar import Poly, ScalarError, parse_poly
+from .scalar import PARAMS, Poly, ScalarError, parse_poly, parse_vector
 
 METRIC_SIGNS = (1, 1, -1)
 
@@ -118,16 +118,28 @@ def _c_from_rows(rows: Mapping[tuple, Vec3]) -> tuple:
     return tuple(tuple(row) for row in table)
 
 
+def combine(coeffs, vecs) -> Vec3:
+    """sum_k coeffs[k] * vecs[k]; zero coefficients are skipped before multiplying."""
+    out = Vec3.zero()
+    for coeff, vec in zip(coeffs, vecs):
+        if not coeff.is_zero():
+            out = out + vec.scale(coeff)
+    return out
+
+
+def bilinear(table, x: Vec3, y: Vec3) -> Vec3:
+    """sum_ij x_i y_j table[i][j]: the bilinear map with values table[i][j] on
+    basis pairs, expanded only over the nonzero components of x and y."""
+    out = Vec3.zero()
+    for xi, row in zip(x.c, table):
+        if not xi.is_zero():
+            out = out + combine(y.c, row).scale(xi)
+    return out
+
+
 def bracket(spec: LieAlgebraSpec, x: Vec3, y: Vec3) -> Vec3:
     """Bilinear extension of the structure constants."""
-    out = Vec3.zero()
-    for i in range(3):
-        for j in range(3):
-            coeff = x.c[i] * y.c[j]
-            if coeff.is_zero():
-                continue
-            out = out + spec.c[i][j].scale(coeff)
-    return out
+    return bilinear(spec.c, x, y)
 
 
 def jacobi_defect(spec: LieAlgebraSpec) -> dict:
@@ -148,14 +160,24 @@ def jacobi_holds(spec: LieAlgebraSpec) -> bool:
     return all(vec.is_zero() for vec in jacobi_defect(spec).values())
 
 
-def _p(expr: str, eta=None) -> Poly:
-    return parse_poly(expr, eta=eta)
+_ROW_KEYS = ((1, 2), (1, 3), (2, 3))
 
-
-def _v(expr: str, eta=None) -> Vec3:
-    from .scalar import parse_vector
-
-    return Vec3(parse_vector(expr, eta=eta))
+# group -> (rows [e1,e2], [e1,e3], [e2,e3]; expressions required to vanish;
+# expressions required to be nonzero; unimodular).  G4's rows read eta, the
+# sign its catalog entry is instantiated at.
+_CATALOG = {
+    "G1": (("alpha*e1 - beta*e3", "-alpha*e1 - beta*e2", "beta*e1 + alpha*e2 + alpha*e3"),
+           (), ("alpha",), True),
+    "G2": (("gamma*e2 - beta*e3", "-beta*e2 - gamma*e3", "alpha*e1"), (), ("gamma",), True),
+    "G3": (("-gamma*e3", "-beta*e2", "alpha*e1"), (), (), True),
+    "G4": (("-e2 + (2*eta - beta)*e3", "-beta*e2 + e3", "alpha*e1"), (), (), True),
+    "G5": (("0", "alpha*e1 + beta*e2", "gamma*e1 + delta*e2"),
+           ("alpha*gamma + beta*delta",), ("alpha + delta",), False),
+    "G6": (("alpha*e2 + beta*e3", "gamma*e2 + delta*e3", "0"),
+           ("alpha*gamma - beta*delta",), ("alpha + delta",), False),
+    "G7": (("-alpha*e1 - beta*e2 - beta*e3", "alpha*e1 + beta*e2 + beta*e3",
+            "gamma*e1 + delta*e2 + delta*e3"), ("alpha*gamma",), ("alpha + delta",), False),
+}
 
 
 def catalog(group: str, eta_sign: int | None = None) -> LieAlgebraSpec:
@@ -171,86 +193,14 @@ def catalog(group: str, eta_sign: int | None = None) -> LieAlgebraSpec:
             raise UnknownId("G4 needs eta_sign=+1 or -1")
     elif eta_sign is not None:
         raise UnknownId(f"eta_sign applies only to G4, not {group}")
-
-    if group == "G1":
-        rows = {
-            (1, 2): _v("alpha*e1 - beta*e3"),
-            (1, 3): _v("-alpha*e1 - beta*e2"),
-            (2, 3): _v("beta*e1 + alpha*e2 + alpha*e3"),
-        }
-        return LieAlgebraSpec(
-            "G1", _c_from_rows(rows),
-            nonzero_constraints=(_p("alpha"),),
-            parameters=("alpha", "beta"), unimodular=True,
-        )
-    if group == "G2":
-        rows = {
-            (1, 2): _v("gamma*e2 - beta*e3"),
-            (1, 3): _v("-beta*e2 - gamma*e3"),
-            (2, 3): _v("alpha*e1"),
-        }
-        return LieAlgebraSpec(
-            "G2", _c_from_rows(rows),
-            nonzero_constraints=(_p("gamma"),),
-            parameters=("alpha", "beta", "gamma"), unimodular=True,
-        )
-    if group == "G3":
-        rows = {
-            (1, 2): _v("-gamma*e3"),
-            (1, 3): _v("-beta*e2"),
-            (2, 3): _v("alpha*e1"),
-        }
-        return LieAlgebraSpec(
-            "G3", _c_from_rows(rows),
-            parameters=("alpha", "beta", "gamma"), unimodular=True,
-        )
-    if group == "G4":
-        eta = eta_sign
-        rows = {
-            (1, 2): _v("-e2 + (2*eta - beta)*e3", eta=eta),
-            (1, 3): _v("-beta*e2 + e3", eta=eta),
-            (2, 3): _v("alpha*e1", eta=eta),
-        }
-        return LieAlgebraSpec(
-            "G4", _c_from_rows(rows),
-            parameters=("alpha", "beta"), unimodular=True, eta_sign=eta,
-        )
-    if group == "G5":
-        rows = {
-            (1, 2): Vec3.zero(),
-            (1, 3): _v("alpha*e1 + beta*e2"),
-            (2, 3): _v("gamma*e1 + delta*e2"),
-        }
-        return LieAlgebraSpec(
-            "G5", _c_from_rows(rows),
-            equality_constraints=(_p("alpha*gamma + beta*delta"),),
-            nonzero_constraints=(_p("alpha + delta"),),
-            parameters=("alpha", "beta", "gamma", "delta"), unimodular=False,
-        )
-    if group == "G6":
-        rows = {
-            (1, 2): _v("alpha*e2 + beta*e3"),
-            (1, 3): _v("gamma*e2 + delta*e3"),
-            (2, 3): Vec3.zero(),
-        }
-        return LieAlgebraSpec(
-            "G6", _c_from_rows(rows),
-            equality_constraints=(_p("alpha*gamma - beta*delta"),),
-            nonzero_constraints=(_p("alpha + delta"),),
-            parameters=("alpha", "beta", "gamma", "delta"), unimodular=False,
-        )
-    # G7
-    rows = {
-        (1, 2): _v("-alpha*e1 - beta*e2 - beta*e3"),
-        (1, 3): _v("alpha*e1 + beta*e2 + beta*e3"),
-        (2, 3): _v("gamma*e1 + delta*e2 + delta*e3"),
-    }
-    return LieAlgebraSpec(
-        "G7", _c_from_rows(rows),
-        equality_constraints=(_p("alpha*gamma"),),
-        nonzero_constraints=(_p("alpha + delta"),),
-        parameters=("alpha", "beta", "gamma", "delta"), unimodular=False,
+    rows, equalities, nonzeros, unimodular = _CATALOG[group]
+    spec = custom_spec(
+        {key: Vec3(parse_vector(text, eta=eta_sign)) for key, text in zip(_ROW_KEYS, rows)},
+        [parse_poly(text) for text in equalities],
+        [parse_poly(text) for text in nonzeros],
+        label=group,
     )
+    return replace(spec, unimodular=unimodular, eta_sign=eta_sign)
 
 
 def custom_spec(
@@ -259,16 +209,13 @@ def custom_spec(
     nonzero_constraints: Sequence[Poly] = (),
     label: str = "custom",
 ) -> LieAlgebraSpec:
-    params = set()
-    for vec in rows.values():
-        for comp in vec.c:
-            params |= comp.params()
+    used = {name for vec in rows.values() for comp in vec.c for name in comp.params()}
     return LieAlgebraSpec(
         label,
         _c_from_rows(dict(rows)),
         equality_constraints=tuple(equality_constraints),
         nonzero_constraints=tuple(nonzero_constraints),
-        parameters=tuple(sorted(params)),
+        parameters=tuple(name for name in PARAMS if name in used),
     )
 
 
@@ -308,7 +255,7 @@ def screen_jacobi(spec: LieAlgebraSpec, seed: int = 0, points: int = 10, symboli
 #   require_nonzero alpha + delta              (optional, repeatable)
 # --------------------------------------------------------------------------
 
-_BRACKET_KEYS = {"[e1,e2]": (1, 2), "[e1,e3]": (1, 3), "[e2,e3]": (2, 3)}
+_BRACKET_KEYS = {f"[e{i},e{j}]": (i, j) for i, j in _ROW_KEYS}
 
 
 def parse_custom_file(text: str, label: str = "custom") -> LieAlgebraSpec:
@@ -331,11 +278,10 @@ def parse_custom_file(text: str, label: str = "custom") -> LieAlgebraSpec:
                     raise InvalidAlgebra(f"line {lineno}: expected '[ei,ej] = <vector>'")
                 if _BRACKET_KEYS[key] in rows:
                     raise InvalidAlgebra(f"line {lineno}: duplicate bracket {key}")
-                rhs_text = rhs.strip()
-                rows[_BRACKET_KEYS[key]] = _v(rhs_text) if rhs_text != "0" else Vec3.zero()
+                rows[_BRACKET_KEYS[key]] = Vec3(parse_vector(rhs))
         except ScalarError as exc:
             raise InvalidAlgebra(f"line {lineno}: {exc}") from exc
-    missing = set(_BRACKET_KEYS.values()) - set(rows)
+    missing = set(_ROW_KEYS) - set(rows)
     if missing:
         raise InvalidAlgebra(f"missing bracket rows: {sorted(missing)}")
     return custom_spec(rows, eq, nz, label=label)

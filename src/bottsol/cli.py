@@ -50,6 +50,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("list", help="list the catalog and the registries")
     p.add_argument("--format", default="text", choices=("text", "structured"))
+    p.set_defaults(run=_cmd_list)
 
     for name, help_text in (
         ("print-connection", "print a connection table"),
@@ -64,17 +65,21 @@ def build_parser() -> _Parser:
         if name == "print-ricci":
             p.add_argument("--symmetrized", action="store_true")
         p.add_argument("--format", default="text", choices=("text", "structured"))
+        p.set_defaults(run=_cmd_print)
 
     p = sub.add_parser("verify-fixture", help="verify stored reference tables")
     p.add_argument("--id", action="append", default=None, help="fixture id (repeatable)")
     p.add_argument("--format", default="text", choices=("text", "structured"))
+    p.set_defaults(run=_cmd_verify_fixture)
 
     p = sub.add_parser("verify-theorem", help="verify classification theorems")
     p.add_argument("--id", action="append", default=None, help="theorem id (repeatable)")
     _add_common(p)
+    p.set_defaults(run=_cmd_verify_theorem)
 
     p = sub.add_parser("verify-all", help="run the whole fixture and theorem corpus")
     _add_common(p)
+    p.set_defaults(run=_cmd_verify_all)
 
     p = sub.add_parser("check-custom", help="validate a custom algebra file and print its system")
     p.add_argument("--spec-file", required=True)
@@ -84,6 +89,7 @@ def build_parser() -> _Parser:
     p.add_argument("--symbolic-jacobi", action="store_true",
                    help="check the Jacobi identity symbolically instead of at sampled points")
     p.add_argument("--format", default="text", choices=("text", "structured"))
+    p.set_defaults(run=_cmd_check_custom)
 
     return parser
 
@@ -304,22 +310,10 @@ def _cmd_check_custom(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command in ("print-connection", "print-curvature", "print-ricci", "print-system"):
-            return _cmd_print(args)
-        if args.command == "verify-fixture":
-            return _cmd_verify_fixture(args)
-        if args.command == "verify-theorem":
-            return _cmd_verify_theorem(args)
-        if args.command == "verify-all":
-            return _cmd_verify_all(args)
-        if args.command == "check-custom":
-            return _cmd_check_custom(args)
+        return args.run(args)
     except UnknownId as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

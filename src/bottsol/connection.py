@@ -9,8 +9,9 @@ that restriction is what makes the purely algebraic treatment exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .algebra import METRIC_SIGNS, LieAlgebraSpec, Vec3, bracket, metric_pair
+from .algebra import METRIC_SIGNS, LieAlgebraSpec, Vec3, bilinear
 from .scalar import Poly
 
 LEVI_CIVITA = "levi_civita"
@@ -34,16 +35,9 @@ class Distribution:
         if sorted((*self.plane, self.normal)) != [1, 2, 3]:
             raise ValueError("plane and normal must partition {1,2,3}")
 
-    def project_plane(self, v: Vec3) -> Vec3:
-        comps = [Poly.zero()] * 3
-        for i in self.plane:
-            comps[i - 1] = v.c[i - 1]
-        return Vec3(tuple(comps))
-
-    def project_normal(self, v: Vec3) -> Vec3:
-        comps = [Poly.zero()] * 3
-        comps[self.normal - 1] = v.c[self.normal - 1]
-        return Vec3(tuple(comps))
+    def project(self, v: Vec3, indices: tuple) -> Vec3:
+        """Keep the components of v along the given (1-based) frame indices."""
+        return Vec3(tuple(comp if k in indices else Poly.zero() for k, comp in enumerate(v.c, 1)))
 
 
 D = Distribution("D", (1, 2), 3)
@@ -77,48 +71,45 @@ def levi_civita(spec: LieAlgebraSpec) -> Connection:
 
     On a frame of left-invariant fields the Koszul identity loses its
     derivative terms:  2 g(nabla_{e_i} e_j, e_k)
-        = g([e_i,e_j], e_k) - g([e_j,e_k], e_i) + g([e_k,e_i], e_j).
+        = g([e_i,e_j], e_k) - g([e_j,e_k], e_i) + g([e_k,e_i], e_j),
+    so with g(e_k, e_k) = s_k the components are the index contraction
+        nabla_{e_i} e_j = 1/2 sum_k (c_ij^k - s_i s_k c_jk^i + s_j s_k c_ki^j) e_k.
     """
-    basis = [Vec3.basis(i) for i in (1, 2, 3)]
-    table = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            comps = []
-            for k in range(3):
-                g1 = metric_pair(bracket(spec, basis[i], basis[j]), basis[k])
-                g2 = metric_pair(bracket(spec, basis[j], basis[k]), basis[i])
-                g3 = metric_pair(bracket(spec, basis[k], basis[i]), basis[j])
-                comps.append((g1 - g2 + g3).scaled(Poly.const(METRIC_SIGNS[k]).constant_value() / 2))
-            row.append(Vec3(tuple(comps)))
-        table.append(tuple(row))
-    return Connection(LEVI_CIVITA, tuple(table))
+    s = METRIC_SIGNS
+    c = [[vec.c for vec in row] for row in spec.c]  # c[i][j][k] = c_ij^k
+    half = Fraction(1, 2)
+    table = tuple(
+        tuple(
+            Vec3(tuple(
+                (c[i][j][k] - c[j][k][i].scaled(s[i] * s[k])
+                 + c[k][i][j].scaled(s[j] * s[k])).scaled(half)
+                for k in range(3)
+            ))
+            for j in range(3)
+        )
+        for i in range(3)
+    )
+    return Connection(LEVI_CIVITA, table)
 
 
 def bott(spec: LieAlgebraSpec, lc: Connection, dist: Distribution) -> Connection:
-    """Casewise projection connection attached to the distribution.
+    """Projection connection attached to the distribution.
 
-    plane/plane -> plane projection of the Levi-Civita row;
-    normal/plane -> plane projection of the bracket;
-    plane/normal -> normal projection of the bracket;
-    normal/normal -> normal projection of the Levi-Civita row.
+    nabla_{e_i} e_j is the Levi-Civita row when e_i and e_j are on the same
+    side (both in the plane or both normal) and the bracket [e_i, e_j]
+    otherwise, projected onto the side of e_j.
     """
     if lc.kind != LEVI_CIVITA:
         raise KindMismatch("bott() needs the Levi-Civita connection as input")
-    basis = [Vec3.basis(i) for i in (1, 2, 3)]
-    table = [[None] * 3 for _ in range(3)]
+    table = []
     for i in (1, 2, 3):
+        row = []
         for j in (1, 2, 3):
-            if i in dist.plane and j in dist.plane:
-                vec = dist.project_plane(lc.row(i, j))
-            elif i == dist.normal and j in dist.plane:
-                vec = dist.project_plane(bracket(spec, basis[i - 1], basis[j - 1]))
-            elif i in dist.plane and j == dist.normal:
-                vec = dist.project_normal(bracket(spec, basis[i - 1], basis[j - 1]))
-            else:
-                vec = dist.project_normal(lc.row(i, j))
-            table[i - 1][j - 1] = vec
-    return Connection(BOTT, tuple(tuple(row) for row in table), dist)
+            side = dist.plane if j in dist.plane else (dist.normal,)
+            vec = lc.row(i, j) if i in side else spec.bracket_basis(i, j)
+            row.append(dist.project(vec, side))
+        table.append(tuple(row))
+    return Connection(BOTT, tuple(table), dist)
 
 
 def perturb(base: Connection) -> Connection:
@@ -138,11 +129,4 @@ def perturb(base: Connection) -> Connection:
 
 def apply(conn: Connection, x: Vec3, y: Vec3) -> Vec3:
     """nabla_x y by bilinear expansion (valid for constant-component fields)."""
-    out = Vec3.zero()
-    for i in range(3):
-        for j in range(3):
-            coeff = x.c[i] * y.c[j]
-            if coeff.is_zero():
-                continue
-            out = out + conn.gamma[i][j].scale(coeff)
-    return out
+    return bilinear(conn.gamma, x, y)

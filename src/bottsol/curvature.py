@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LieAlgebraSpec, Vec3, bracket
-from .connection import Connection, apply
+from .algebra import LieAlgebraSpec, Vec3, combine
+from .connection import Connection
 from .scalar import Poly
 
 
@@ -56,24 +56,23 @@ def riemann(spec: LieAlgebraSpec, conn: Connection) -> CurvatureTensor:
     """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z.
 
     The same connection is used in all three terms, including the bracket
-    term.
+    term.  With nabla_{e_i} v = sum_k v_k gamma[i][k], and gamma_jp^k the
+    k-th component of gamma[j][p], this is the contraction
+        R(e_i,e_j)e_p = sum_k (gamma_jp^k gamma[i][k] - gamma_ip^k gamma[j][k]
+                               - c_ij^k gamma[k][p]).
     """
-    basis = [Vec3.basis(i) for i in (1, 2, 3)]
-    table = []
-    for i in range(3):
-        plane_i = []
-        for j in range(3):
-            fibre = []
-            for p in range(3):
-                value = (
-                    apply(conn, basis[i], apply(conn, basis[j], basis[p]))
-                    - apply(conn, basis[j], apply(conn, basis[i], basis[p]))
-                    - apply(conn, bracket(spec, basis[i], basis[j]), basis[p])
-                )
-                fibre.append(value)
-            plane_i.append(tuple(fibre))
-        table.append(tuple(plane_i))
-    return CurvatureTensor(tuple(table))
+    g = conn.gamma
+    return CurvatureTensor(tuple(
+        tuple(
+            tuple(
+                combine(g[j][p].c, g[i]) - combine(g[i][p].c, g[j])
+                - combine(spec.c[i][j].c, [g[k][p] for k in range(3)])
+                for p in range(3)
+            )
+            for j in range(3)
+        )
+        for i in range(3)
+    ))
 
 
 def ricci(curv: CurvatureTensor) -> BilinearForm:

@@ -468,6 +468,14 @@ class RatFun:
 
 _BASIS = ("e1", "e2", "e3")
 
+# Largest product the parser expands: the operands' term counts (numerator
+# plus denominator, over all basis components) multiplied together.
+MAX_PRODUCT_TERMS = 200_000
+
+
+def _size(value) -> int:
+    return sum(len(c.num.terms) + len(c.den.terms) for c in value.values())
+
 
 class _Tokens:
     def __init__(self, text: str):
@@ -554,6 +562,8 @@ class _ExprParser:
         return value
 
     def _mul(self, a, b, invert=False):
+        if _size(a) * _size(b) > MAX_PRODUCT_TERMS:
+            raise ParseError("expression too large")
         if invert:
             if list(b) not in ([], [(0, 0, 0)]):
                 raise ParseError("division by a vector expression")

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import METRIC_SIGNS, LieAlgebraSpec, Vec3, metric_pair
-from .connection import PERTURBED_BOTT, Connection, apply
+from .algebra import METRIC_SIGNS, LieAlgebraSpec, Vec3, combine
+from .connection import PERTURBED_BOTT, Connection
 from .curvature import BilinearForm
 from .scalar import DenominatorZero, Poly, RatFun, poly_div_exact
 
@@ -37,16 +37,17 @@ class InconsistentFamily(Exception):
 
 
 def lie_derivative_form(conn: Connection, v: Vec3) -> BilinearForm:
-    """m[i][j] = g(nabla_{e_i} v, e_j) + g(e_i, nabla_{e_j} v); symmetric."""
-    basis = [Vec3.basis(i) for i in (1, 2, 3)]
-    nabla_v = [apply(conn, basis[i], v) for i in range(3)]
-    table = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            row.append(metric_pair(nabla_v[i], basis[j]) + metric_pair(basis[i], nabla_v[j]))
-        table.append(tuple(row))
-    return BilinearForm(tuple(table))
+    """m[i][j] = g(nabla_{e_i} v, e_j) + g(e_i, nabla_{e_j} v); symmetric.
+
+    With nabla_{e_i} v = sum_k v_k gamma[i][k] and g(e_k, e_k) = s_k this is
+    m[i][j] = s_j (nabla_{e_i} v)_j + s_i (nabla_{e_j} v)_i.
+    """
+    s = METRIC_SIGNS
+    nabla_v = [combine(v.c, row).c for row in conn.gamma]
+    return BilinearForm(tuple(
+        tuple(nabla_v[i][j].scaled(s[j]) + nabla_v[j][i].scaled(s[i]) for j in range(3))
+        for i in range(3)
+    ))
 
 
 def soliton_vector() -> Vec3:

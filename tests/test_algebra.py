@@ -154,6 +154,11 @@ class TestCustomFile:
         with pytest.raises(InvalidAlgebra):
             parse_custom_file("[e1,e2] = foo*e3\n[e1,e3] = 0\n[e2,e3] = 0")
 
+    def test_parameters_in_alphabet_order(self):
+        # PARAMS lists gamma before delta; alphabetical order would not.
+        spec = parse_custom_file("[e1,e2] = delta*e3\n[e1,e3] = gamma*e2\n[e2,e3] = 0")
+        assert spec.parameters == ("gamma", "delta")
+
     def test_duplicate_row(self):
         text = "[e1,e2] = e3\n[e1,e2] = e2\n[e1,e3] = 0\n[e2,e3] = 0"
         with pytest.raises(InvalidAlgebra):

@@ -4,13 +4,26 @@ import json
 import pytest
 
 from bottsol.cli import EX_USAGE, main
-from bottsol.pipeline import stage
+from bottsol.pipeline import all_configurations, stage
 
 # sha256 of `bottsol verify-all --format structured --seed 177147`.
 REPORT_DIGEST = "ad98388ae167c071a3872bcc8f97ddb8085863d09bd2458b71b8f5c02d3ccc86"
 # sha256 of `bottsol verify-theorem --id C3.5 --id 2.5 --id 5.16 --format structured`:
 # both Einstein clause kinds, a no-soliton claim, and families with a discrepancy.
 THEOREM_PATH_DIGEST = "67a955d7bb0f91203c4a242a8331cd7fc93d140206fce1de9d24e52703c1a550"
+# sha256 of the structured output of every print form below, concatenated over
+# all_configurations() (configuration-major, forms in PRINT_FORMS order).
+CONSTRUCTION_DIGEST = "48c0c3e4d0dd701c9c2e324ede6bbe2d25c9321212345f37738d11ec71e0d9e2"
+PRINT_FORMS = (
+    ("print-connection", "--kind", "levi-civita"),
+    ("print-connection", "--kind", "bott"),
+    ("print-curvature",),
+    ("print-ricci",),
+    ("print-ricci", "--symmetrized"),
+    ("print-system",),
+)
+# sha256 of `bottsol list --format structured`.
+LIST_DIGEST = "f5fc9989fc8cb1f98ce11010c5b9ec1e135ebb2300dbe30a788fa7f6ba04e5bb"
 
 
 def run(capsys, *argv):
@@ -48,6 +61,17 @@ class TestPrintCommands:
         assert code == EX_USAGE and "eta" in err
         code, out, _ = run(capsys, "print-system", "--group", "G4", "--eta", "1")
         assert code == 0
+
+    def test_construction_output_is_unchanged(self, capsys):
+        digest = hashlib.sha256()
+        for group, dist, perturbed, eta in all_configurations():
+            selector = ["--group", group, "--distribution", dist, "--format", "structured"]
+            selector += (["--perturbed"] if perturbed else []) + (["--eta", str(eta)] if eta else [])
+            for command, *options in PRINT_FORMS:
+                code, out, _ = run(capsys, command, *selector, *options)
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == CONSTRUCTION_DIGEST
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -136,7 +160,8 @@ class TestCheckCustom:
         code, _, err = run(capsys, "check-custom", "--spec-file", "/nonexistent.alg")
         assert code == EX_USAGE
 
-    @pytest.mark.parametrize("row", ["(1/0)*e3", "(" * 3000 + "e3" + ")" * 3000])
+    @pytest.mark.parametrize("row", ["(1/0)*e3", "(" * 3000 + "e3" + ")" * 3000,
+                                     "(alpha+beta+gamma+1)^60*e3"])
     def test_hostile_row_is_input_error(self, tmp_path, capsys, row):
         path = tmp_path / "hostile.alg"
         path.write_text(f"[e1,e2] = {row}\n[e1,e3] = 0\n[e2,e3] = 0\n")
@@ -165,3 +190,9 @@ def test_list_command(capsys):
     code, out, _ = run(capsys, "list")
     assert code == 0
     assert "G7" in out and "196 reference tables" in out
+
+
+def test_list_output_is_unchanged(capsys):
+    code, out, _ = run(capsys, "list", "--format", "structured")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LIST_DIGEST

@@ -199,6 +199,13 @@ def test_power_is_repeated_product(p, n):
     assert RatFun.from_poly(p).pow(n) == RatFun.from_poly(expected)
 
 
+def test_oversized_expression_is_rejected():
+    with pytest.raises(ParseError, match="expression too large"):
+        parse_poly("(alpha+beta+gamma+1)^60")
+    with pytest.raises(ParseError, match="expression too large"):
+        parse_vector("(alpha+beta+gamma+1)^60*e3")
+
+
 def test_large_exponent():
     p = parse_poly("(alpha+beta+gamma+1)^24")
     assert len(p.terms) == 2925

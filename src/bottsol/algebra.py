@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .scalar import PARAMS, Poly, ScalarError, parse_poly, parse_vector
+from .scalar import MAX_PRODUCT_TERMS, PARAMS, Poly, ScalarError, parse_poly, parse_vector
 
 METRIC_SIGNS = (1, 1, -1)
 
@@ -284,4 +284,12 @@ def parse_custom_file(text: str, label: str = "custom") -> LieAlgebraSpec:
     missing = set(_ROW_KEYS) - set(rows)
     if missing:
         raise InvalidAlgebra(f"missing bracket rows: {sorted(missing)}")
-    return custom_spec(rows, eq, nz, label=label)
+    spec = custom_spec(rows, eq, nz, label=label)
+    # Curvature multiplies connection coefficients, each linear in the
+    # structure constants, so its products grow like the square of their size.
+    terms = sum(len(comp.terms) for row in spec.c for vec in row for comp in vec.c)
+    if terms * terms > MAX_PRODUCT_TERMS:
+        raise InvalidAlgebra(
+            f"structure constants too large: {terms} terms, squared past {MAX_PRODUCT_TERMS}"
+        )
+    return spec

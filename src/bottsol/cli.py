@@ -39,6 +39,10 @@ def _add_common(p):
                    help="minimum admissible sample points per non-existence claim")
     p.add_argument("--spot-samples", type=int, default=25,
                    help="instantiation points per confirmed solution family")
+    _add_timing(p)
+
+
+def _add_timing(p):
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock timings (breaks byte-identical reports)")
 
@@ -70,6 +74,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify-fixture", help="verify stored reference tables")
     p.add_argument("--id", action="append", default=None, help="fixture id (repeatable)")
     p.add_argument("--format", default="text", choices=("text", "structured"))
+    _add_timing(p)
     p.set_defaults(run=_cmd_verify_fixture)
 
     p = sub.add_parser("verify-theorem", help="verify classification theorems")
@@ -208,7 +213,7 @@ def _cmd_verify_fixture(args) -> int:
     counts = summary.counts()
     lines.append(_fixture_summary_line(counts))
     _emit(args, lines, {
-        "fixtures": [rep.to_json() for rep in summary.fixture_reports],
+        "fixtures": [rep.to_json(timing=args.timing) for rep in summary.fixture_reports],
         "summary": {status: counts[status] for status in verify.FIXTURE_STATUSES},
     })
     return summary.exit_code()

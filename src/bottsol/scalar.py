@@ -254,19 +254,50 @@ class Poly:
             total = total + term
         return total
 
-    def eval_at(self, point: Mapping[str, Fraction]) -> Fraction:
-        """Exact value at a fully rational point."""
-        missing = self.params() - set(point)
-        if missing:
-            raise UnboundParameter(f"no value for {sorted(missing)}")
-        total = Fraction(0)
+    def partial_eval(self, point: Mapping[str, Fraction]) -> "Poly":
+        """Substitute the rational values `point` gives; other parameters stay.
+
+        Equal to RatFun.from_poly(self).substitute(point).num, computed on
+        coefficients alone.
+        """
+        bound = []
+        for name, value in point.items():
+            if name not in _INDEX:
+                raise UnknownParameter(f"{name!r} is not in the parameter alphabet {PARAMS}")
+            bound.append((_INDEX[name], value))
+        out: dict = {}
         for e, c in self.terms.items():
-            term = c
-            for i, k in enumerate(e):
+            for i, value in bound:
+                k = e[i]
                 if k:
-                    term *= Fraction(point[PARAMS[i]]) ** k
-            total += term
-        return total
+                    c = c * value ** k
+                    e = e[:i] + (0,) + e[i + 1:]
+            if e in out:
+                out[e] += c
+            else:
+                out[e] = c
+        return Poly(out)
+
+    def eval_at(self, point: Mapping[str, Fraction]) -> Fraction:
+        """Exact value at a fully rational point, summed over integers."""
+        num, den = 0, 1
+        try:
+            for e, c in self.terms.items():
+                tn, td = c.numerator, c.denominator
+                for i, k in enumerate(e):
+                    if k:
+                        value = point[PARAMS[i]]
+                        tn *= value.numerator ** k
+                        td *= value.denominator ** k
+                if td == den:
+                    num += tn
+                else:
+                    num = num * td + tn * den
+                    den *= td
+        except KeyError:
+            missing = self.params() - set(point)
+            raise UnboundParameter(f"no value for {sorted(missing)}") from None
+        return Fraction(num, den)
 
     # -- printing ------------------------------------------------------------
 

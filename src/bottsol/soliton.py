@@ -16,12 +16,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Mapping, Sequence
 
 from .algebra import METRIC_SIGNS, LieAlgebraSpec, Vec3, combine
 from .connection import PERTURBED_BOTT, Connection
 from .curvature import BilinearForm
-from .scalar import DenominatorZero, Poly, RatFun, poly_div_exact
+from .scalar import PARAMS, DenominatorZero, Poly, RatFun, UnboundParameter, poly_div_exact
 
 UNKNOWNS = ("mu1", "mu2", "mu3", "mu")
 
@@ -68,6 +70,11 @@ class SolitonSystem:
     def __str__(self) -> str:
         lines = [f"{poly} = 0" for poly in self.equations]
         return "\n".join(lines)
+
+    @cached_property
+    def integer_rows(self) -> "IntegerRows":
+        """The equations as rows [mu1, mu2, mu3, mu, const], compiled once."""
+        return IntegerRows.compile(self)
 
 
 def build_system(
@@ -220,50 +227,134 @@ def check_point_admissible(system: SolitonSystem, point: Mapping[str, Fraction])
         raise ConstraintViolated("a0 must be nonzero for perturbed connections")
 
 
-def linear_rows(system: SolitonSystem, point: Mapping[str, Fraction]) -> list:
-    """Rows [c_mu1, c_mu2, c_mu3, c_mu, const] of the system at the point."""
-    rows = []
-    for eq in system.equations:
-        row = []
-        for u in UNKNOWNS:
-            row.append(eq.coefficient_of(u).eval_at(point))
-        const_poly = eq.drop(UNKNOWNS)
-        row.append(const_poly.eval_at(point))
-        rows.append(row)
-    return rows
+@dataclass(frozen=True)
+class IntegerRows:
+    """A system's coefficient rows with integer coefficients on parameter monomials.
+
+    Each equation is one row of five columns: the coefficients of mu1, mu2,
+    mu3 and mu and the constant term.  A row's denominators are cleared, so a
+    column is a tuple of (monomial index, integer coefficient) pairs over the
+    exponent vectors in `monomials` (one exponent per name in `names`).
+    `top` holds each name's largest exponent in any row.
+    """
+
+    names: tuple
+    top: tuple
+    monomials: tuple
+    rows: tuple
+
+    @staticmethod
+    def compile(system: SolitonSystem) -> "IntegerRows":
+        assert_affine_linear(system)
+        columns = [[eq.coefficient_of(u) for u in UNKNOWNS] + [eq.drop(UNKNOWNS)]
+                   for eq in system.equations]
+        used = [i for i in range(len(PARAMS))
+                if any(e[i] for cols in columns for col in cols for e in col.terms)]
+        index: dict = {}  # exponents of the used names -> monomial index
+        rows = []
+        for cols in columns:
+            scale = lcm(*(c.denominator for col in cols for c in col.terms.values()))
+            rows.append(tuple(
+                tuple((index.setdefault(tuple(e[i] for i in used), len(index)),
+                       c.numerator * (scale // c.denominator))
+                      for e, c in col.terms.items())
+                for col in cols
+            ))
+        monomials = tuple(index)
+        return IntegerRows(
+            names=tuple(PARAMS[i] for i in used),
+            top=tuple(max(m[n] for m in monomials) for n in range(len(used))),
+            monomials=monomials,
+            rows=tuple(rows),
+        )
+
+    def at(self, point: Mapping[str, Fraction]) -> list:
+        """Integer rows at a rational point: the rows at `point` times prod_i d_i^top_i,
+        with a monomial valued prod_i n_i^e_i d_i^(top_i - e_i) for value n_i/d_i."""
+        try:
+            values = [point[name] for name in self.names]
+        except KeyError:
+            raise UnboundParameter(
+                f"no value for {sorted(n for n in self.names if n not in point)}"
+            ) from None
+        monomial_values = []
+        for exps in self.monomials:
+            v = 1
+            for value, top, k in zip(values, self.top, exps):
+                v *= value.numerator ** k * value.denominator ** (top - k)
+            monomial_values.append(v)
+        rows = []
+        for row in self.rows:
+            entries = []
+            for col in row:
+                entry = 0
+                for m, c in col:
+                    entry += c * monomial_values[m]
+                entries.append(entry)
+            rows.append(entries)
+        return rows
 
 
 def solve_affine(rows: list, n_unknowns: int) -> PointVerdict:
-    """Exact Gaussian elimination on [A | b] rows meaning A*x + b = 0."""
-    m = [list(map(Fraction, row)) for row in rows]
+    """Exact solution of [A | b] rows meaning A*x + b = 0, rows of ints or Fractions.
+
+    Each row is scaled by the least common multiple of its denominators, which
+    keeps its solutions, and solved by `_solve_integer_rows`.
+    """
+    integer_rows = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        integer_rows.append([x.numerator * (scale // x.denominator) for x in row])
+    return _solve_integer_rows(integer_rows, n_unknowns)
+
+
+def _solve_integer_rows(m: list, n_unknowns: int) -> PointVerdict:
+    """Fraction-free (Bareiss) elimination of integer rows to echelon form, in place.
+
+    Every entry it produces is a minor of the input, so each division by the
+    previous pivot is exact.  The witness sets the free unknowns to 0 and
+    back-substitutes in Fractions, which gives the same witness as reduced
+    row echelon form.
+    """
     pivots = []
+    previous = 1
     r = 0
     for col in range(n_unknowns):
-        pivot = next((k for k in range(r, len(m)) if m[k][col] != 0), None)
+        pivot = next((k for k in range(r, len(m)) if m[k][col]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        m[r] = [x / m[r][col] for x in m[r]]
-        for k in range(len(m)):
-            if k != r and m[k][col] != 0:
-                factor = m[k][col]
-                m[k] = [a - factor * b for a, b in zip(m[k], m[r])]
+        top = m[r]
+        p = top[col]
+        tail = range(col + 1, n_unknowns + 1)
+        for row in m[r + 1:]:
+            f = row[col]
+            row[col] = 0
+            for j in tail:
+                q, rem = divmod(p * row[j] - f * top[j], previous)
+                if rem:
+                    raise AssertionError("inexact Bareiss division")
+                row[j] = q
+        previous = p
         pivots.append(col)
         r += 1
     for row in m[r:]:
-        if any(x != 0 for x in row[:n_unknowns]):
+        if any(row[:n_unknowns]):
             raise AssertionError("elimination left a stray nonzero row")
-        if row[n_unknowns] != 0:
+        if row[n_unknowns]:
             return PointVerdict(False)
     witness = [Fraction(0)] * n_unknowns
-    for row_idx, col in enumerate(pivots):
-        witness[col] = -m[row_idx][n_unknowns]
+    for row_idx in reversed(range(r)):
+        row = m[row_idx]
+        col = pivots[row_idx]
+        rest = row[n_unknowns] + sum(row[j] * witness[j] for j in pivots[row_idx + 1:])
+        witness[col] = Fraction(-rest, row[col])
     return PointVerdict(True, dict(zip(UNKNOWNS, witness)), n_unknowns - len(pivots))
 
 
 def decide_at_point(system: SolitonSystem, point: Mapping[str, Fraction]) -> PointVerdict:
     check_point_admissible(system, point)
-    return solve_affine(linear_rows(system, point), len(UNKNOWNS))
+    return _solve_integer_rows(system.integer_rows.at(point), len(UNKNOWNS))
 
 
 # --------------------------------------------------------------------------
@@ -324,8 +415,7 @@ def _solve_equalities(
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
     for c in constraints:
-        r = RatFun.from_poly(c).substitute(point)
-        residual = r.num
+        residual = c.partial_eval(point)
         if residual.is_zero():
             continue
         open_names = [n for n in free if n in residual.params() and n not in point]
@@ -341,9 +431,7 @@ def _solve_equalities(
         for name in open_names:
             if name != target:
                 point[name] = rand()
-        shifted = RatFun.from_poly(residual).substitute(
-            {k: v for k, v in point.items() if k != target}
-        ).num
+        shifted = residual.partial_eval({name: point[name] for name in open_names if name != target})
         a = shifted.coefficient_of(target)
         b = shifted.drop([target])
         a_val = a.eval_at(point)

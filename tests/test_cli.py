@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -90,6 +91,18 @@ class TestVerifyCommands:
         assert code == 2
         assert "DISCREPANCY" in out
 
+    def test_verify_fixture_timing_is_opt_in(self, capsys):
+        args = ("verify-fixture", "--id", "2.11", "--id", "3.22", "--format", "structured")
+        code, out, _ = run(capsys, *args)
+        assert code == 2 and "elapsed_ms" not in out
+        code, out, _ = run(capsys, *args, "--timing")
+        assert code == 2
+        fixtures = json.loads(out)["fixtures"]
+        assert [f["id"] for f in fixtures] == ["2.11", "3.22"]
+        assert all(f["elapsed_ms"] >= 0 for f in fixtures)
+        code, text, _ = run(capsys, "verify-fixture", "--id", "2.11", "--timing")
+        assert code == 0 and "elapsed_ms" not in text
+
     def test_verify_unknown_id(self, capsys):
         code, _, err = run(capsys, "verify-fixture", "--id", "99.99")
         assert code == EX_USAGE
@@ -167,6 +180,18 @@ class TestCheckCustom:
         path.write_text(f"[e1,e2] = {row}\n[e1,e3] = 0\n[e2,e3] = 0\n")
         code, _, err = run(capsys, "check-custom", "--spec-file", str(path))
         assert code == EX_USAGE and "invalid algebra: line 1" in err
+
+    def test_oversized_table_is_input_error(self, tmp_path, capsys):
+        # Each row is under the parser bound and the three pass the Jacobi
+        # screen, but their 17,550 structure-constant terms would make the
+        # curvature products run without limit.
+        power = "(alpha+beta+gamma+1)^24"
+        path = tmp_path / "large.alg"
+        path.write_text(f"[e1,e2] = {power}*e3\n[e1,e3] = {power}*e2\n[e2,e3] = {power}*e1\n")
+        started = time.perf_counter()
+        code, _, err = run(capsys, "check-custom", "--spec-file", str(path))
+        assert code == EX_USAGE and "structure constants too large: 17550 terms" in err
+        assert time.perf_counter() - started < 15
 
     def test_catalog_rows_give_catalog_systems(self, tmp_path, capsys):
         path = tmp_path / "g1.alg"

@@ -18,3 +18,31 @@ def test_benchmark_hook_resolves(path):
         importlib.import_module(f"bottsol.{head}")
     _, _, func = tracing._resolve(path)
     assert callable(getattr(func, "__func__", func))
+
+
+def test_spot_check_attempts_reach_the_counted_hook():
+    """The benchmark counts spot-check attempts as calls of _solve_equalities
+    through the module attributes it patches; every checked point is one."""
+    from bottsol import pipeline, registry, soliton, verify
+
+    rec = next(r for r in registry.load_theorems() if r.id == "3.4")
+    system = pipeline.stage(rec.group, rec.distribution, rec.perturbed).system
+    family = verify._family_from_record(rec.families[0], None, completed=False)
+    assert soliton.check_family(system, family).satisfied
+    calls = []
+
+    def make_counter(func):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return func(*args, **kwargs)
+
+        return counted
+
+    patches = tracing.Patches()
+    patches.replace("soliton._solve_equalities", make_counter)
+    try:
+        points = verify._spot_check_family(system, family, 10, seed=177147)
+    finally:
+        patches.restore()
+    assert points == 10
+    assert len(calls) >= points

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -224,3 +225,25 @@ class TestSampling:
         plan = sample_plan(system, minimum=100, seed=11)
         assert len(plan) >= 100
         assert len({tuple(sorted(p.items())) for p in plan}) > 50
+
+
+# sha256 of one line per sampled point, f"{cfg} {sorted(point.items())} {verdict}",
+# over every configuration's system and its Einstein system (mu1 = mu2 = mu3 = 0)
+# at 20 random points each: 1,920 verdicts, 255 of them solvable, with witnesses.
+SAMPLED_VERDICT_DIGEST = "4737ba36cace20ab9c36db6b2be38a9bc0fd2b7607c107e4b12b1233efdb7956"
+
+
+def test_sampled_verdicts_are_unchanged():
+    from bottsol.verify import _einstein_system
+
+    digest = hashlib.sha256()
+    solvable = 0
+    for cfg in all_configurations():
+        base = stage(*cfg).system
+        for system in (base, _einstein_system(base)):
+            for point in random_points(system, 20, seed=177147):
+                verdict = decide_at_point(system, point)
+                solvable += verdict.solvable
+                digest.update(f"{cfg} {sorted(point.items())} {verdict}\n".encode())
+    assert solvable == 255
+    assert digest.hexdigest() == SAMPLED_VERDICT_DIGEST

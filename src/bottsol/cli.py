@@ -23,10 +23,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_selector_args(p, need_dist=True):
+def _add_selector_args(p):
     p.add_argument("--group", required=True, choices=GROUPS)
-    if need_dist:
-        p.add_argument("--distribution", default="D", choices=sorted(DISTRIBUTIONS))
+    p.add_argument("--distribution", default="D", choices=sorted(DISTRIBUTIONS))
     p.add_argument("--perturbed", action="store_true")
     p.add_argument("--eta", type=int, choices=(1, -1), default=None,
                    help="sign for G4 (runs require it; other groups reject it)")
@@ -90,9 +89,8 @@ def build_parser() -> _Parser:
     p.add_argument("--spec-file", required=True)
     p.add_argument("--distribution", default="D", choices=sorted(DISTRIBUTIONS))
     p.add_argument("--perturbed", action="store_true")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--symbolic-jacobi", action="store_true",
-                   help="check the Jacobi identity symbolically instead of at sampled points")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="accepted for compatibility; check-custom draws no random values")
     p.add_argument("--format", default="text", choices=("text", "structured"))
     p.set_defaults(run=_cmd_check_custom)
 
@@ -291,14 +289,13 @@ def _cmd_check_custom(args) -> int:
         return EX_USAGE
     try:
         spec = parse_custom_file(text)
-        screen_jacobi(spec, seed=args.seed, symbolic=args.symbolic_jacobi)
+        screen_jacobi(spec)
     except InvalidAlgebra as exc:
         print(f"invalid algebra: {exc}", file=sys.stderr)
         return EX_USAGE
     system = pipeline.build(spec, args.distribution, args.perturbed).system
     lines = [
-        f"custom algebra accepted (Jacobi screen passed, "
-        f"{'symbolic' if args.symbolic_jacobi else 'sampled'})",
+        "custom algebra accepted (Jacobi identity holds)",
         f"soliton system for distribution {args.distribution}"
         + (" perturbed" if args.perturbed else "") + ":",
         str(system) if system.equations else "(empty system)",

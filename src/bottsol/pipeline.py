@@ -61,10 +61,10 @@ def eta_signs(group: str) -> tuple:
     return (1, -1) if group == "G4" else (None,)
 
 
-def all_configurations(perturbed_too: bool = True):
+def all_configurations():
     """Yield (group, dist_name, perturbed, eta_sign) over the whole catalog."""
     for group in algebra.GROUPS:
         for dist_name in ("D", "D1", "D2"):
-            for perturbed in ((False, True) if perturbed_too else (False,)):
+            for perturbed in (False, True):
                 for eta in eta_signs(group):
                     yield group, dist_name, perturbed, eta

@@ -25,21 +25,23 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields, is_dataclass, replace
 from importlib import resources
-from typing import Iterable
 
 from .scalar import parse_poly, parse_vector
 
-TABLE_KINDS = (
-    "levi_civita",
-    "bott",
-    "curvature",
-    "ricci",
-    "sym_ricci",
-    "lie_derivative",
-    "system",
-    "curvature_delta",
-    "sym_ricci_delta",
-)
+_UPPER_PAIRS = tuple((i, j) for i in (1, 2, 3) for j in range(i, 4))
+
+# kind -> the index set a '* : 0' row stands for (None: the kind has no '*').
+TABLE_KINDS = {
+    "levi_civita": None,
+    "bott": None,
+    "curvature": tuple((i, j, p) for i in (1, 2) for j in range(i + 1, 4) for p in (1, 2, 3)),
+    "ricci": tuple((i, j) for i in (1, 2, 3) for j in (1, 2, 3)),
+    "sym_ricci": _UPPER_PAIRS,
+    "lie_derivative": _UPPER_PAIRS,
+    "system": None,
+    "curvature_delta": None,
+    "sym_ricci_delta": _UPPER_PAIRS,
+}
 
 _SYM_KINDS = {"sym_ricci", "lie_derivative", "sym_ricci_delta"}
 
@@ -60,8 +62,7 @@ class Fixture:
     def connection_table(self, eta=None) -> dict:
         return {key: parse_vector(expr, eta=eta) for key, expr in self.rows}
 
-    def curvature_table(self, eta=None) -> dict:
-        return {key: parse_vector(expr, eta=eta) for key, expr in self.rows}
+    curvature_table = connection_table
 
     def bilinear_table(self, eta=None) -> dict:
         """Full 3x3 dict; symmetric kinds are mirrored from the stored i<=j half."""
@@ -87,6 +88,15 @@ def _data_text(relpath: str) -> str:
     return node.read_text()
 
 
+def _lines(text: str):
+    """(line number, line) for each line left once '#' comments and blank
+    lines are dropped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 _HEADER = re.compile(r"^\[(\w+)\s+([0-9][\w.]*)\s*(perturbed)?\]$")
 
 
@@ -100,10 +110,7 @@ def _parse_table_file(text: str, group: str, dist: str) -> list:
         if kind is not None:
             fixtures.append(Fixture(fid, kind, group, dist, perturbed, tuple(rows)))
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         m = _HEADER.match(line)
         if m:
             flush()
@@ -125,7 +132,9 @@ def _parse_table_file(text: str, group: str, dist: str) -> list:
         if key_txt == "*":
             if expr != "0":
                 raise RegistryError(f"{group}/{dist} line {lineno}: '*' rows must be zero")
-            rows.append(("*", expr))
+            if TABLE_KINDS[kind] is None:
+                raise RegistryError(f"{group}/{dist} line {lineno}: '*' not supported for {kind}")
+            rows.extend((key, "0") for key in TABLE_KINDS[kind])
             continue
         try:
             key = tuple(int(tok) for tok in key_txt.split())
@@ -136,37 +145,13 @@ def _parse_table_file(text: str, group: str, dist: str) -> list:
     return fixtures
 
 
-def _expand_star(fixtures: Iterable[Fixture]) -> list:
-    """Replace '* : 0' shorthand by the explicit index set of the kind."""
-    out = []
-    for fix in fixtures:
-        if not any(key == "*" for key, _ in fix.rows):
-            out.append(fix)
-            continue
-        if fix.kind == "curvature":
-            keys = [(i, j, p) for i in (1, 2) for j in range(i + 1, 4) for p in (1, 2, 3)]
-        elif fix.kind == "ricci":
-            keys = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
-        elif fix.kind in _SYM_KINDS:
-            keys = [(i, j) for i in (1, 2, 3) for j in range(i, 4)]
-        else:
-            raise RegistryError(f"fixture {fix.id}: '*' not supported for kind {fix.kind}")
-        rows = tuple((key, "0") for key in keys)
-        out.append(Fixture(fix.id, fix.kind, fix.group, fix.distribution, fix.perturbed, rows))
-    return out
-
-
 def load_fixtures() -> list:
     fixtures = []
     for dist in ("D", "D1", "D2"):
         for group in ("G1", "G2", "G3", "G4", "G5", "G6", "G7"):
             text = _data_text(f"tables/{dist}/{group}.tab")
-            fixtures.extend(_expand_star(_parse_table_file(text, group, dist)))
+            fixtures.extend(_parse_table_file(text, group, dist))
     return fixtures
-
-
-def fixture_index() -> dict:
-    return {fix.id: fix for fix in load_fixtures()}
 
 
 # --------------------------------------------------------------------------
@@ -256,10 +241,7 @@ def _freeze(value):
 def load_theorems() -> list:
     records: list = []
     families = family = None  # the list new families join; the family being read
-    for lineno, raw in enumerate(_data_text("theorems.tab").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(_data_text("theorems.tab")):
         m = _THM_HEADER.match(line)
         if m:
             kv = _parse_kv(m.group(3))
@@ -298,10 +280,6 @@ def load_theorems() -> list:
             entry = arg.strip()
         getattr(family, _FAMILY_FIELDS[directive, completion]).append(entry)
     return [_freeze(rec) for rec in records]
-
-
-def theorem_index() -> dict:
-    return {rec.id: rec for rec in load_theorems()}
 
 
 # --------------------------------------------------------------------------
@@ -348,10 +326,7 @@ def load_errata() -> list:
             entries.append(ErrataEntry(**pending))
         pending = None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(text):
         if line.startswith("fixture "):
             flush()
             parts = line.split()

@@ -180,16 +180,16 @@ def check_family(system: SolitonSystem, family: SolutionFamily) -> Verdict:
     binds = family.closed_bindings()
     side_eq = []
     for p in family.side_equal:
-        r = RatFun.from_poly(p).substitute(binds)
+        r = p.substitute(binds)
         if not r.is_zero():
             side_eq.append(r.num)
     for p in family.side_nonzero:
-        if RatFun.from_poly(p).substitute(binds).is_zero():
+        if p.substitute(binds).is_zero():
             raise InconsistentFamily(
                 f"family {family.label}: bindings force nonzero condition {p} to vanish"
             )
     for idx, eq in enumerate(system.equations):
-        residual = RatFun.from_poly(eq).substitute(binds)
+        residual = eq.substitute(binds)
         if not _reduces_to_zero(residual.num, side_eq):
             return Verdict(False, idx, residual)
     return Verdict(True)
@@ -445,18 +445,24 @@ def _solve_equalities(
     return True
 
 
-def random_points(system: SolitonSystem, count: int, seed: int = DEFAULT_SEED) -> list:
+def draw_points(constraints: Sequence[Poly], free: list, seed: int, attempts: int):
+    """Seeded random points over the `free` names: make at most `attempts`
+    draws and yield each point on which every equality constraint vanishes."""
     rng = random.Random(seed)
-    names = list(system.parameters)
-    points = []
-    attempts = 0
-    while len(points) < count and attempts < count * 400:
-        attempts += 1
+    for _ in range(attempts):
         point: dict = {}
-        if not _solve_equalities(system.equality_constraints, point, names, rng):
-            continue
+        if _solve_equalities(constraints, point, free, rng):
+            yield point
+
+
+def random_points(system: SolitonSystem, count: int, seed: int = DEFAULT_SEED) -> list:
+    points = []
+    for point in draw_points(system.equality_constraints, list(system.parameters), seed,
+                             count * 400):
         if _admissible(system, point):
             points.append(point)
+            if len(points) == count:
+                break
     if len(points) < count:
         raise ConstraintViolated(
             f"could not sample {count} admissible points for {system.group}/{system.distribution}"

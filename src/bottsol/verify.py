@@ -15,14 +15,13 @@ Outcome vocabulary:
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field, replace
 
 from . import pipeline, registry
 from .algebra import Vec3
 from .registry import FamilyRecord, Fixture, TheoremRecord
-from .scalar import DenominatorZero, Poly, RatFun, parse_poly, parse_ratfun
+from .scalar import DenominatorZero, Poly, parse_poly, parse_ratfun
 from .soliton import (
     DEFAULT_SEED,
     UNKNOWNS,
@@ -30,9 +29,9 @@ from .soliton import (
     InconsistentFamily,
     SolitonSystem,
     SolutionFamily,
-    _solve_equalities,
     check_family,
     decide_at_point,
+    draw_points,
     sample_plan,
 )
 
@@ -297,23 +296,17 @@ def _spot_check_family(
     every equation exactly and decide_at_point must find it solvable.
     Returns the number of points checked; raises AssertionError on any
     failure."""
-    rng = random.Random(seed)
     binds = family.closed_bindings()
     free_names = [n for n in list(system.parameters) + list(UNKNOWNS) if n not in binds]
 
     reduced_eqs = []
     for poly in list(system.equality_constraints) + list(family.side_equal):
-        r = RatFun.from_poly(poly).substitute(binds)
+        r = poly.substitute(binds)
         if not r.is_zero():
             reduced_eqs.append(r.num)
 
     done = 0
-    attempts = 0
-    while done < count and attempts < count * 500:
-        attempts += 1
-        point: dict = {}
-        if not _solve_equalities(tuple(reduced_eqs), point, free_names, rng):
-            continue
+    for point in draw_points(reduced_eqs, free_names, seed, count * 500):
         try:
             full = dict(point)
             for name, val in binds.items():
@@ -335,6 +328,8 @@ def _spot_check_family(
                 f"family {family.label}: decide_at_point inconsistent at {group_point}"
             )
         done += 1
+        if done == count:
+            break
     if done < count:
         raise AssertionError(
             f"family {family.label}: only found {done}/{count} admissible sample points"

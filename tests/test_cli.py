@@ -23,6 +23,10 @@ PRINT_FORMS = (
     ("print-ricci", "--symmetrized"),
     ("print-system",),
 )
+# sha256 of the exit code and structured output of `check-custom` on the 72
+# cases the benchmark's custom workload runs at seed 177147 (its 12 files, each
+# under D, D1 and D2, plain and perturbed, in that order).
+CUSTOM_CASES_DIGEST = "b3b48650f5d2cfd0917d0d08564d2cc1ac45ba30f89200be59807cc2660ff4e8"
 # sha256 of `bottsol list --format structured`.
 LIST_DIGEST = "f5fc9989fc8cb1f98ce11010c5b9ec1e135ebb2300dbe30a788fa7f6ba04e5bb"
 
@@ -154,20 +158,13 @@ class TestCheckCustom:
         assert code == 0
         assert "accepted" in out
 
-    def test_symbolic_flag(self, tmp_path, capsys):
-        path = tmp_path / "heis.alg"
-        path.write_text(self.GOOD)
-        code, out, _ = run(
-            capsys, "check-custom", "--spec-file", str(path), "--symbolic-jacobi",
-            "--distribution", "D1",
-        )
-        assert code == 0
-
     def test_rejects_non_lie_bracket(self, tmp_path, capsys):
         path = tmp_path / "bad.alg"
         path.write_text(self.BAD)
         code, _, err = run(capsys, "check-custom", "--spec-file", str(path))
         assert code == EX_USAGE and "Jacobi" in err
+        # [[e1,e2],e3] + [[e2,e3],e1] + [[e3,e1],e2] = [e3,e3] + [e2,e1] + 0 = -e3
+        assert "cyclic sum is -e3" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check-custom", "--spec-file", "/nonexistent.alg")
@@ -184,14 +181,34 @@ class TestCheckCustom:
     def test_oversized_table_is_input_error(self, tmp_path, capsys):
         # Each row is under the parser bound and the three pass the Jacobi
         # screen, but their 17,550 structure-constant terms would make the
-        # curvature products run without limit.
+        # curvature products run without limit.  The first row's 2925 terms
+        # fill two entries of c, and 5850 squared already passes the bound.
         power = "(alpha+beta+gamma+1)^24"
         path = tmp_path / "large.alg"
         path.write_text(f"[e1,e2] = {power}*e3\n[e1,e3] = {power}*e2\n[e2,e3] = {power}*e1\n")
         started = time.perf_counter()
         code, _, err = run(capsys, "check-custom", "--spec-file", str(path))
-        assert code == EX_USAGE and "structure constants too large: 17550 terms" in err
+        assert code == EX_USAGE
+        assert "line 1: structure constants too large: 5850 terms so far" in err
         assert time.perf_counter() - started < 15
+
+    def test_benchmark_cases_are_unchanged(self, tmp_path, capsys):
+        from perfbench import workloads
+
+        workload = workloads.Custom()
+        workload.prepare(177147, tmp_path)
+        digest = hashlib.sha256()
+        cases = 0
+        for spec in workload.specs:
+            for dist in ("D", "D1", "D2"):
+                for perturbed in (False, True):
+                    argv = ["check-custom", "--spec-file", spec.path, "--distribution", dist,
+                            "--seed", "177147", "--format", "structured"]
+                    code, out, _ = run(capsys, *argv, *(["--perturbed"] if perturbed else []))
+                    digest.update(f"{code}\n{out}".encode())
+                    cases += 1
+        assert cases == 72
+        assert digest.hexdigest() == CUSTOM_CASES_DIGEST
 
     def test_catalog_rows_give_catalog_systems(self, tmp_path, capsys):
         path = tmp_path / "g1.alg"

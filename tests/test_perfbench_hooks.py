@@ -46,3 +46,36 @@ def test_spot_check_attempts_reach_the_counted_hook():
         patches.restore()
     assert points == 10
     assert len(calls) >= points
+
+
+def test_shared_loader_keeps_per_name_attribution():
+    """Fixture.curvature_table is the same function as connection_table; the
+    benchmark wraps each name on its own, so each wrapper must see only the
+    loads made under its name, and restoring must leave them one function."""
+    from bottsol import registry, verify
+
+    fixtures = {fix.id: fix for fix in registry.load_fixtures()}
+    curvature, bott = fixtures["3.4"], fixtures["2.11"]
+    assert (curvature.kind, bott.kind) == ("curvature", "bott")
+    seen = {"connection_table": [], "curvature_table": []}
+
+    def recorder(name):
+        def make(func):
+            def recorded(self, *args, **kwargs):
+                seen[name].append(self.id)
+                return func(self, *args, **kwargs)
+
+            return recorded
+
+        return make
+
+    patches = tracing.Patches()
+    for name in seen:
+        patches.replace(f"registry.Fixture.{name}", recorder(name))
+    try:
+        assert verify.verify_fixture(curvature).status == verify.MATCH
+        assert verify.verify_fixture(bott).status == verify.MATCH
+    finally:
+        patches.restore()
+    assert seen == {"connection_table": ["2.11"], "curvature_table": ["3.4"]}
+    assert registry.Fixture.curvature_table is registry.Fixture.connection_table

@@ -212,6 +212,7 @@ class TestSampling:
         b = random_points(system, 30, seed=7)
         assert a == b
         assert all(p["gamma"] != 0 for p in a)
+        assert random_points(system, 0, seed=7) == []
 
     def test_constrained_group_sampling(self):
         system = stage("G6", "D").system

@@ -16,12 +16,12 @@ from bottsol.verify import (
 
 @pytest.fixture(scope="module")
 def fixtures():
-    return registry.fixture_index()
+    return {fix.id: fix for fix in registry.load_fixtures()}
 
 
 @pytest.fixture(scope="module")
 def theorems():
-    return registry.theorem_index()
+    return {rec.id: rec for rec in registry.load_theorems()}
 
 
 @pytest.fixture(scope="module")

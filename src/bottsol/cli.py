@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 all checks pass; 1 mismatch or refutation; 2 only known,
-audited discrepancies; 64 usage or input errors.
+audited discrepancies; 64 usage or input errors; 141 (128 + SIGPIPE)
+standard output closed early, as by `| head`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__, pipeline, registry, verify
@@ -150,23 +152,20 @@ def _cmd_print(args) -> int:
     eta = _eta_for(args)
     stage = pipeline.stage(args.group, args.distribution, args.perturbed, eta)
     header = f"{args.group}/{args.distribution}" + (" perturbed" if args.perturbed else "")
-    if args.command == "print-connection":
-        conn = stage.levi_civita if args.kind == "levi-civita" else stage.conn
-        body = str(conn)
-        payload = {"table": {f"{i},{j}": str(v) for (i, j), v in conn.rows()}}
-    elif args.command == "print-curvature":
-        body = str(stage.riemann)
-        payload = {"table": {f"{i},{j},{p}": str(v) for (i, j, p), v in stage.riemann.entries()}}
-    elif args.command == "print-ricci":
-        form = stage.sym_ricci if args.symmetrized else stage.ricci
-        body = str(form)
-        payload = {"table": {f"{i},{j}": str(v) for (i, j), v in form.entries()}}
-    else:  # print-system
-        body = str(stage.system)
-        payload = {"equations": [str(eq) for eq in stage.system.equations],
+    if args.command == "print-system":
+        shown = stage.system
+        payload = {"equations": [str(eq) for eq in shown.equations],
                    "unknowns": ["mu1", "mu2", "mu3", "mu"]}
+    else:
+        if args.command == "print-connection":
+            shown = stage.levi_civita if args.kind == "levi-civita" else stage.conn
+        elif args.command == "print-curvature":
+            shown = stage.riemann
+        else:  # print-ricci
+            shown = stage.sym_ricci if args.symmetrized else stage.ricci
+        payload = {"table": {",".join(map(str, key)): str(v) for key, v in shown.entries()}}
     payload["context"] = header
-    _emit(args, [header, body], payload)
+    _emit(args, [header, str(shown)], payload)
     return 0
 
 
@@ -290,21 +289,24 @@ def _cmd_check_custom(args) -> int:
     try:
         spec = parse_custom_file(text)
         screen_jacobi(spec)
-    except InvalidAlgebra as exc:
+        system = pipeline.build(spec, args.distribution, args.perturbed).system
+        # str() raises ValueError on an integer past sys.get_int_max_str_digits().
+        equations = [str(eq) for eq in system.equations]
+        body = str(system) if equations else "(empty system)"
+    except (InvalidAlgebra, ValueError) as exc:
         print(f"invalid algebra: {exc}", file=sys.stderr)
         return EX_USAGE
-    system = pipeline.build(spec, args.distribution, args.perturbed).system
     lines = [
         "custom algebra accepted (Jacobi identity holds)",
         f"soliton system for distribution {args.distribution}"
         + (" perturbed" if args.perturbed else "") + ":",
-        str(system) if system.equations else "(empty system)",
+        body,
     ]
     _emit(args, lines, {
         "accepted": True,
         "distribution": args.distribution,
         "perturbed": args.perturbed,
-        "equations": [str(eq) for eq in system.equations],
+        "equations": equations,
     })
     return 0
 
@@ -312,10 +314,17 @@ def _cmd_check_custom(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
     except UnknownId as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; send what is left to devnull so
+        # that flush cannot fail too (the recipe of the `signal` module docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

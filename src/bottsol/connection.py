@@ -57,13 +57,13 @@ class Connection:
         """nabla_{e_i} e_j for 1-based indices."""
         return self.gamma[i - 1][j - 1]
 
-    def rows(self):
+    def entries(self):
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 yield (i, j), self.gamma[i - 1][j - 1]
 
     def __str__(self) -> str:
-        return "\n".join(f"nabla[e{i}]e{j} = {vec}" for (i, j), vec in self.rows())
+        return "\n".join(f"nabla[e{i}]e{j} = {vec}" for (i, j), vec in self.entries())
 
 
 def levi_civita(spec: LieAlgebraSpec) -> Connection:

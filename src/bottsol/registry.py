@@ -26,25 +26,39 @@ import re
 from dataclasses import dataclass, fields, is_dataclass, replace
 from importlib import resources
 
-from .algebra import content_lines
+from .algebra import Vec3, content_lines
 from .scalar import parse_poly, parse_vector
 
 _UPPER_PAIRS = tuple((i, j) for i in (1, 2, 3) for j in range(i, 4))
 
-# kind -> the index set a '* : 0' row stands for (None: the kind has no '*').
-TABLE_KINDS = {
-    "levi_civita": None,
-    "bott": None,
-    "curvature": tuple((i, j, p) for i in (1, 2) for j in range(i + 1, 4) for p in (1, 2, 3)),
-    "ricci": tuple((i, j) for i in (1, 2, 3) for j in (1, 2, 3)),
-    "sym_ricci": _UPPER_PAIRS,
-    "lie_derivative": _UPPER_PAIRS,
-    "system": None,
-    "curvature_delta": None,
-    "sym_ricci_delta": _UPPER_PAIRS,
-}
 
-_SYM_KINDS = {"sym_ricci", "lie_derivative", "sym_ricci_delta"}
+@dataclass(frozen=True)
+class TableKind:
+    """How one kind of stored table is read and what it is compared with."""
+
+    loader: str  # the Fixture method that parses it; perfbench times each name apart
+    records: str  # the pipeline.Stage attribute holding the recomputed object
+    star: tuple | None = None  # the keys a '* : 0' row stands for (None: no '*' row)
+    vector: bool = False  # rows are vectors, parsed to Vec3
+    mirrored: bool = False  # the stored i <= j half stands for both halves
+
+
+TABLE_KINDS = {
+    "levi_civita": TableKind("connection_table", "levi_civita", vector=True),
+    "bott": TableKind("connection_table", "conn", vector=True),
+    "curvature": TableKind(
+        "curvature_table", "riemann", vector=True,
+        star=tuple((i, j, p) for i in (1, 2) for j in range(i + 1, 4) for p in (1, 2, 3)),
+    ),
+    "ricci": TableKind("bilinear_table", "ricci",
+                       star=tuple((i, j) for i in (1, 2, 3) for j in (1, 2, 3))),
+    "sym_ricci": TableKind("bilinear_table", "sym_ricci", star=_UPPER_PAIRS, mirrored=True),
+    "lie_derivative": TableKind("bilinear_table", "lie_derivative", star=_UPPER_PAIRS,
+                                mirrored=True),
+    "system": TableKind("system_equations", "system"),
+    "curvature_delta": TableKind("delta_table", "riemann", vector=True),
+    "sym_ricci_delta": TableKind("delta_table", "sym_ricci", star=_UPPER_PAIRS),
+}
 
 
 class RegistryError(Exception):
@@ -61,22 +75,19 @@ class Fixture:
     rows: tuple  # raw (key, expression-string) pairs, in file order
 
     def connection_table(self, eta=None) -> dict:
-        return {key: parse_vector(expr, eta=eta) for key, expr in self.rows}
-
-    curvature_table = connection_table
-
-    def bilinear_table(self, eta=None) -> dict:
-        """Full 3x3 dict; symmetric kinds are mirrored from the stored i<=j half."""
-        out = {key: parse_poly(expr, eta=eta) for key, expr in self.rows}
-        if self.kind in _SYM_KINDS:
+        """The stored entries by key, typed as the stage holds them; a
+        mirrored kind's i <= j half is filled out to the full 3x3."""
+        kind = TABLE_KINDS[self.kind]
+        if kind.vector:
+            out = {key: Vec3(parse_vector(expr, eta=eta)) for key, expr in self.rows}
+        else:
+            out = {key: parse_poly(expr, eta=eta) for key, expr in self.rows}
+        if kind.mirrored:
             for (i, j), val in list(out.items()):
                 out.setdefault((j, i), val)
         return out
 
-    def delta_table(self, eta=None) -> dict:
-        if self.kind == "curvature_delta":
-            return {key: parse_vector(expr, eta=eta) for key, expr in self.rows}
-        return {key: parse_poly(expr, eta=eta) for key, expr in self.rows}
+    curvature_table = bilinear_table = delta_table = connection_table
 
     def system_equations(self, eta=None) -> list:
         return [parse_poly(expr, eta=eta) for _, expr in self.rows]
@@ -124,9 +135,10 @@ def _parse_table_file(text: str, group: str, dist: str) -> list:
         if key_txt == "*":
             if expr != "0":
                 raise RegistryError(f"{group}/{dist} line {lineno}: '*' rows must be zero")
-            if TABLE_KINDS[kind] is None:
+            star = TABLE_KINDS[kind].star
+            if star is None:
                 raise RegistryError(f"{group}/{dist} line {lineno}: '*' not supported for {kind}")
-            rows.extend((key, "0") for key in TABLE_KINDS[kind])
+            rows.extend((key, "0") for key in star)
             continue
         try:
             key = tuple(int(tok) for tok in key_txt.split())

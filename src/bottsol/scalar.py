@@ -17,9 +17,10 @@ above, which makes printed forms and golden fixtures byte-stable.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, log10
 from operator import add
 from typing import Iterable, Mapping
 
@@ -556,6 +557,14 @@ def _uint(tok: str) -> int:
         raise ParseError(f"integer literal of {len(tok)} digits is too long") from None
 
 
+def _height(poly: Poly) -> int:
+    """The larger of d, the lcm of the coefficients' denominators, and the
+    sum of |coefficient| * d: no coefficient of poly^n has a numerator or
+    denominator above height^n."""
+    d = lcm(*(c.denominator for c in poly.terms.values()))
+    return max(d, sum(abs(c.numerator) * (d // c.denominator) for c in poly.terms.values()))
+
+
 def _size(value) -> int:
     return sum(len(c.num.terms) + len(c.den.terms) for c in value.values())
 
@@ -675,8 +684,12 @@ class _ExprParser:
             exp_tok = self.toks.next()
             if not exp_tok.isdigit():
                 raise ParseError(f"exponent must be a non-negative integer, got {exp_tok!r}")
-            return _power(value, _uint(exp_tok), {(0, 0, 0): RatFun.from_poly(Poly.const(1))},
-                          self._mul)
+            n = _uint(exp_tok)
+            height = max((_height(c.num) * _height(c.den) for c in value.values()), default=1)
+            limit = sys.get_int_max_str_digits()  # the digit limit _uint meets on literals
+            if limit and height > 1 and n > limit / log10(height):
+                raise ParseError("expression too large")
+            return _power(value, n, {(0, 0, 0): RatFun.from_poly(Poly.const(1))}, self._mul)
         return value
 
     def _atom(self):

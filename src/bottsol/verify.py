@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 from . import pipeline, registry
-from .algebra import Vec3
 from .registry import FamilyRecord, Fixture, TheoremRecord
 from .scalar import DenominatorZero, Poly, parse_poly, parse_ratfun
 from .soliton import (
@@ -89,27 +88,6 @@ def _key_str(key) -> str:
     return ",".join(str(k) for k in key)
 
 
-def _render_vec(comps) -> str:
-    return str(Vec3(tuple(comps)))
-
-
-def _diff_tables(expected: dict, computed: dict, render) -> list:
-    diffs = []
-    for key in sorted(set(expected) | set(computed)):
-        exp = expected.get(key)
-        got = computed.get(key)
-        same = exp is not None and got is not None and exp == got
-        if not same:
-            diffs.append(
-                EntryDiff(
-                    _key_str(key),
-                    "(absent)" if exp is None else render(exp),
-                    "(absent)" if got is None else render(got),
-                )
-            )
-    return diffs
-
-
 def _diff_system(expected: list, computed: tuple) -> list:
     expected = _canonical_system(expected)
     computed = _canonical_system(computed)
@@ -121,7 +99,7 @@ def _diff_system(expected: list, computed: tuple) -> list:
     return diffs
 
 
-def _diff_delta(expected: dict, computed: dict, base: dict, render) -> list:
+def _diff_delta(expected: dict, computed: dict, base: dict) -> list:
     """Stored perturbed values at the listed keys; every other entry must be unchanged.
 
     Changes are scanned with the first index at most the second.  A stored key
@@ -134,53 +112,29 @@ def _diff_delta(expected: dict, computed: dict, base: dict, render) -> list:
         got = computed[key]
         if key in expected:
             if expected[key] != got:
-                diffs.append(EntryDiff(_key_str(key), render(expected[key]), render(got)))
+                diffs.append(EntryDiff(_key_str(key), str(expected[key]), str(got)))
         elif (key[1], key[0], *key[2:]) not in expected:
             diffs.append(
-                EntryDiff(
-                    _key_str(key),
-                    "(listed as unchanged)",
-                    f"{render(got)} (was {render(base[key])})",
-                )
+                EntryDiff(_key_str(key), "(listed as unchanged)", f"{got} (was {base[key]})")
             )
     return diffs
-
-
-def _vectors(rows) -> dict:
-    return {key: vec.c for key, vec in rows}
-
-
-# kind -> (Fixture loader method, computed entries of a stage, renderer).  The
-# loader is looked up by name on the fixture, so wrappers installed on the
-# Fixture class see the call.
-_FIXTURE_KINDS = {
-    "levi_civita": ("connection_table", lambda st: _vectors(st.levi_civita.rows()), _render_vec),
-    "bott": ("connection_table", lambda st: _vectors(st.conn.rows()), _render_vec),
-    "curvature": ("curvature_table", lambda st: _vectors(st.riemann.entries()), _render_vec),
-    "ricci": ("bilinear_table", lambda st: dict(st.ricci.entries()), str),
-    "sym_ricci": ("bilinear_table", lambda st: dict(st.sym_ricci.entries()), str),
-    "lie_derivative": ("bilinear_table", lambda st: dict(st.lie_derivative.entries()), str),
-    "system": ("system_equations", lambda st: st.system.equations, str),
-    "curvature_delta": ("delta_table", lambda st: _vectors(st.riemann.entries()), _render_vec),
-    "sym_ricci_delta": ("delta_table", lambda st: dict(st.sym_ricci.entries()), str),
-}
 
 
 def _verify_fixture_for_eta(fix: Fixture, eta: int | None) -> list:
     """Diffs of one fixture at one G4 sign.  Levi-Civita tables are stored
     under D, unperturbed, so the stage of the fixture's own configuration
     holds every object a fixture compares against."""
-    if fix.kind not in _FIXTURE_KINDS:
-        raise registry.RegistryError(f"fixture {fix.id}: unknown kind {fix.kind}")
-    loader, computed_of, render = _FIXTURE_KINDS[fix.kind]
-    computed = computed_of(pipeline.stage(fix.group, fix.distribution, fix.perturbed, eta))
-    expected = getattr(fix, loader)(eta=eta)
+    kind = registry.TABLE_KINDS[fix.kind]
+    expected = getattr(fix, kind.loader)(eta=eta)
+    recorded = getattr(pipeline.stage(fix.group, fix.distribution, fix.perturbed, eta), kind.records)
     if fix.kind == "system":
-        return _diff_system(expected, computed)
+        return _diff_system(expected, recorded.equations)
+    computed = dict(recorded.entries())
     if fix.kind.endswith("_delta"):
-        base = computed_of(pipeline.stage(fix.group, fix.distribution, False, eta))
-        return _diff_delta(expected, computed, base, render)
-    return _diff_tables(expected, {key: computed[key] for key in expected}, render)
+        base = getattr(pipeline.stage(fix.group, fix.distribution, False, eta), kind.records)
+        return _diff_delta(expected, computed, dict(base.entries()))
+    return [EntryDiff(_key_str(key), str(expected[key]), str(computed[key]))
+            for key in sorted(expected) if expected[key] != computed[key]]
 
 
 def verify_fixture(fix: Fixture, errata: set | None = None) -> FixtureReport:

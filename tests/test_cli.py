@@ -1,5 +1,8 @@
 import hashlib
+import io
 import json
+import os
+import sys
 import time
 
 import pytest
@@ -27,6 +30,11 @@ PRINT_FORMS = (
 # cases the benchmark's custom workload runs at seed 177147 (its 12 files, each
 # under D, D1 and D2, plain and perturbed, in that order).
 CUSTOM_CASES_DIGEST = "b3b48650f5d2cfd0917d0d08564d2cc1ac45ba30f89200be59807cc2660ff4e8"
+# sha256 of `bottsol verify-fixture` and of `bottsol verify-fixture --format structured`.
+FIXTURE_TEXT_DIGEST = "0082ecc4fe8e1896bc34f7041202a9e3fa99b10407f2047946c096dfdcd28d62"
+FIXTURE_STRUCTURED_DIGEST = "d646095402e8b090c719198e30e89bef68da75d1e73681fca47f6f4501b27ab0"
+# sha256 of `bottsol check-custom` text output for [e1,e2] = 2^7000*e1 under D.
+LONG_COEFFICIENT_DIGEST = "2d41efd0af3c1149948de0fc6aa61367503fe4d033dac4889503e97cd4916a0e"
 # sha256 of `bottsol list --format structured`.
 LIST_DIGEST = "f5fc9989fc8cb1f98ce11010c5b9ec1e135ebb2300dbe30a788fa7f6ba04e5bb"
 
@@ -135,6 +143,15 @@ class TestVerifyCommands:
         assert code == 2
         assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGEST
 
+    @pytest.mark.parametrize("options, expected", [
+        ((), FIXTURE_TEXT_DIGEST),
+        (("--format", "structured"), FIXTURE_STRUCTURED_DIGEST),
+    ])
+    def test_fixture_report_is_unchanged(self, capsys, options, expected):
+        code, out, _ = run(capsys, "verify-fixture", *options)
+        assert code == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+
     def test_theorem_path_report_is_unchanged(self, capsys):
         code, out, _ = run(capsys, "verify-theorem", "--id", "C3.5", "--id", "2.5",
                            "--id", "5.16", "--format", "structured")
@@ -171,12 +188,25 @@ class TestCheckCustom:
         assert code == EX_USAGE
 
     @pytest.mark.parametrize("row", ["(1/0)*e3", "(" * 3000 + "e3" + ")" * 3000,
-                                     "(alpha+beta+gamma+1)^60*e3"])
+                                     "(alpha+beta+gamma+1)^60*e3", "2^20000*e1"])
     def test_hostile_row_is_input_error(self, tmp_path, capsys, row):
         path = tmp_path / "hostile.alg"
         path.write_text(f"[e1,e2] = {row}\n[e1,e3] = 0\n[e2,e3] = 0\n")
         code, _, err = run(capsys, "check-custom", "--spec-file", str(path))
         assert code == EX_USAGE and "invalid algebra: line 1" in err
+
+    def test_long_coefficients(self, tmp_path, capsys):
+        # 2^8000 parses (2,409 digits), but the curvature squares it past the
+        # 4,300-digit limit on printing an integer; 2^7000 squared stays under.
+        path = tmp_path / "long.alg"
+        path.write_text("[e1,e2] = 2^8000*e1\n[e1,e3] = 0\n[e2,e3] = 0\n")
+        code, out, err = run(capsys, "check-custom", "--spec-file", str(path))
+        assert code == EX_USAGE and out == ""
+        assert err.startswith("invalid algebra: Exceeds the limit")
+        path.write_text("[e1,e2] = 2^7000*e1\n[e1,e3] = 0\n[e2,e3] = 0\n")
+        code, out, _ = run(capsys, "check-custom", "--spec-file", str(path))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == LONG_COEFFICIENT_DIGEST
 
     def test_oversized_table_is_input_error(self, tmp_path, capsys):
         # Each row is under the parser bound and the three pass the Jacobi
@@ -238,3 +268,25 @@ def test_list_output_is_unchanged(capsys):
     code, out, _ = run(capsys, "list", "--format", "structured")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == LIST_DIGEST
+
+
+def test_closed_stdout_exits_141(tmp_path, monkeypatch):
+    """A reader that quits early, as `bottsol verify-fixture | head -1` does,
+    ends the run with 128 + SIGPIPE, not the exit code of a mismatch."""
+
+    class ClosedPipe(io.TextIOBase):
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        assert main(["list"]) == 141
+    finally:
+        os.close(fd)

@@ -34,7 +34,7 @@ class TestLeviCivita:
     def test_abelian_connection_vanishes(self):
         spec = custom_spec({(1, 2): Vec3.zero(), (1, 3): Vec3.zero(), (2, 3): Vec3.zero()})
         lc = levi_civita(spec)
-        assert all(vec.is_zero() for _, vec in lc.rows())
+        assert all(vec.is_zero() for _, vec in lc.entries())
 
     def test_g3_shorthand_entry(self):
         lc = stage("G3", "D").levi_civita
@@ -89,7 +89,7 @@ class TestBott:
             lc = levi_civita(spec)
             for dist in DISTRIBUTIONS.values():
                 conn = bott(spec, lc, dist)
-                for (i, j), vec in conn.rows():
+                for (i, j), vec in conn.entries():
                     in_plane = j in dist.plane
                     for k in (1, 2, 3):
                         expected_zero = (k in dist.plane) != in_plane
@@ -117,7 +117,7 @@ class TestPerturb:
                 n = dist.normal
                 diffs = [
                     (i, j)
-                    for (i, j), vec in base.rows()
+                    for (i, j), vec in base.entries()
                     if vec != pert.row(i, j)
                 ]
                 assert diffs == [(n, n)]

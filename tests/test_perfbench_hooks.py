@@ -87,7 +87,7 @@ def test_stored_tables_parse_without_normalising():
     fast path: RatFun.make and poly_div_exact are never called."""
     from collections import Counter
 
-    from bottsol import pipeline, registry, verify
+    from bottsol import pipeline, registry
 
     fixtures = registry.load_fixtures()
     counts: Counter = Counter()
@@ -95,7 +95,7 @@ def test_stored_tables_parse_without_normalising():
     tracing.install_op_counters(patches, counts)
     try:
         for fix in fixtures:
-            loader = verify._FIXTURE_KINDS[fix.kind][0]
+            loader = registry.TABLE_KINDS[fix.kind].loader
             for eta in pipeline.eta_signs(fix.group):
                 getattr(fix, loader)(eta=eta)
     finally:

@@ -33,12 +33,23 @@ def _add_selector_args(p):
                    help="sign for G4 (runs require it; other groups reject it)")
 
 
+def _count(text: str) -> int:
+    """argparse type of a sample count: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid count: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"count must not be negative: {text!r}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--format", default="text", choices=("text", "structured"))
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--samples", type=int, default=100,
+    p.add_argument("--samples", type=_count, default=100,
                    help="minimum admissible sample points per non-existence claim")
-    p.add_argument("--spot-samples", type=int, default=25,
+    p.add_argument("--spot-samples", type=_count, default=25,
                    help="instantiation points per confirmed solution family")
     _add_timing(p)
 

@@ -60,19 +60,20 @@ def riemann(spec: LieAlgebraSpec, conn: Connection) -> CurvatureTensor:
     k-th component of gamma[j][p], this is the contraction
         R(e_i,e_j)e_p = sum_k (gamma_jp^k gamma[i][k] - gamma_ip^k gamma[j][k]
                                - c_ij^k gamma[k][p]).
+    Only the i < j half is contracted.  Since c is antisymmetric (built so by
+    `_c_from_rows`), the contraction is antisymmetric in (i, j): R(e_j,e_i)e_p
+    is the negated vector and R(e_i,e_i)e_p is zero, exactly.
     """
     g = conn.gamma
-    return CurvatureTensor(tuple(
-        tuple(
-            tuple(
-                combine(g[j][p].c, g[i]) - combine(g[i][p].c, g[j])
-                - combine(spec.c[i][j].c, [g[k][p] for k in range(3)])
-                for p in range(3)
-            )
-            for j in range(3)
-        )
-        for i in range(3)
-    ))
+    r = [[[Vec3.zero()] * 3 for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            for p in range(3):
+                vec = (combine(g[j][p].c, g[i]) - combine(g[i][p].c, g[j])
+                       - combine(spec.c[i][j].c, [g[k][p] for k in range(3)]))
+                r[i][j][p] = vec
+                r[j][i][p] = -vec
+    return CurvatureTensor(tuple(tuple(tuple(row) for row in plane) for plane in r))
 
 
 def ricci(curv: CurvatureTensor) -> BilinearForm:

@@ -2,7 +2,8 @@
 Bott (-> perturbed) -> curvature -> Ricci -> soliton system.
 
 `build` runs the chain for any algebra and is uncached, so one-shot custom
-specs do not stay in memory.  `stage` is the cached catalog entry point.
+specs do not stay in memory.  `stage` is the cached catalog entry point; the
+stages of one catalog algebra share its cached spec and Levi-Civita connection.
 """
 
 from __future__ import annotations
@@ -29,9 +30,15 @@ class Stage:
     system: SolitonSystem
 
 
-def build(spec: LieAlgebraSpec, dist_name: str, perturbed: bool = False) -> Stage:
-    """Build every derived object of one algebra for one distribution."""
-    lc = connection.levi_civita(spec)
+def build(spec: LieAlgebraSpec, dist_name: str, perturbed: bool = False,
+          lc: Connection | None = None) -> Stage:
+    """Build every derived object of one algebra for one distribution.
+
+    `lc` is the Levi-Civita connection of `spec` when the caller already has
+    it; otherwise it is computed here.
+    """
+    if lc is None:
+        lc = connection.levi_civita(spec)
     conn = connection.bott(spec, lc, connection.DISTRIBUTIONS[dist_name])
     if perturbed:
         conn = connection.perturb(conn)
@@ -44,8 +51,18 @@ def build(spec: LieAlgebraSpec, dist_name: str, perturbed: bool = False) -> Stag
 
 
 @lru_cache(maxsize=None)
+def _catalog_algebra(group: str, eta_sign: int | None) -> tuple:
+    """(spec, Levi-Civita connection) of a catalog group: neither depends on
+    the distribution or the perturbation, so the six stages of one algebra
+    share them."""
+    spec = algebra.catalog(group, eta_sign=eta_sign)
+    return spec, connection.levi_civita(spec)
+
+
+@lru_cache(maxsize=None)
 def _catalog_stage(group: str, dist_name: str, perturbed: bool, eta_sign: int | None) -> Stage:
-    return build(algebra.catalog(group, eta_sign=eta_sign), dist_name, perturbed)
+    spec, lc = _catalog_algebra(group, eta_sign)
+    return build(spec, dist_name, perturbed, lc)
 
 
 def stage(group: str, dist_name: str, perturbed: bool = False, eta_sign: int | None = None) -> Stage:
@@ -53,7 +70,13 @@ def stage(group: str, dist_name: str, perturbed: bool = False, eta_sign: int | N
     return _catalog_stage(group, dist_name, bool(perturbed), eta_sign)
 
 
-stage.cache_clear = _catalog_stage.cache_clear
+def _cache_clear() -> None:
+    """Empty the stage cache and the per-algebra cache behind it."""
+    _catalog_stage.cache_clear()
+    _catalog_algebra.cache_clear()
+
+
+stage.cache_clear = _cache_clear
 stage.cache_info = _catalog_stage.cache_info
 
 

@@ -44,14 +44,15 @@ def bracket_num(c, x, y):
 
 def levi_civita_num(c):
     """gamma[i][j] = nabla_{e_i} e_j via the reduced Koszul identity."""
+    br = [[bracket_num(c, basis(i), basis(j)) for j in range(3)] for i in range(3)]
     gamma = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
     for i in range(3):
         for j in range(3):
             for k in range(3):
                 t = (
-                    g(bracket_num(c, basis(i), basis(j)), basis(k))
-                    - g(bracket_num(c, basis(j), basis(k)), basis(i))
-                    + g(bracket_num(c, basis(k), basis(i)), basis(j))
+                    g(br[i][j], basis(k))
+                    - g(br[j][k], basis(i))
+                    + g(br[k][i], basis(j))
                 )
                 gamma[i][j][k] = SIGNS[k] * t / 2
     return gamma
@@ -91,13 +92,15 @@ def apply_num(gamma, x, y):
 
 
 def riemann_num(c, gamma):
+    nab = [[apply_num(gamma, basis(j), basis(p)) for p in range(3)] for j in range(3)]
     r = [[[None] * 3 for _ in range(3)] for _ in range(3)]
     for i in range(3):
         for j in range(3):
+            br = bracket_num(c, basis(i), basis(j))
             for p in range(3):
-                t1 = apply_num(gamma, basis(i), apply_num(gamma, basis(j), basis(p)))
-                t2 = apply_num(gamma, basis(j), apply_num(gamma, basis(i), basis(p)))
-                t3 = apply_num(gamma, bracket_num(c, basis(i), basis(j)), basis(p))
+                t1 = apply_num(gamma, basis(i), nab[j][p])
+                t2 = apply_num(gamma, basis(j), nab[i][p])
+                t3 = apply_num(gamma, br, basis(p))
                 r[i][j][p] = [a - b - d for a, b, d in zip(t1, t2, t3)]
     return r
 

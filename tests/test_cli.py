@@ -163,6 +163,20 @@ class TestVerifyCommands:
         assert code == EX_USAGE
         assert "unknown theorem ids: ['99.99']" in err
 
+    @pytest.mark.parametrize("command", ["verify-theorem", "verify-all"])
+    @pytest.mark.parametrize("option", ["--samples", "--spot-samples"])
+    def test_negative_sample_count_is_usage_error(self, capsys, command, option):
+        with pytest.raises(SystemExit) as exc:
+            main([command, option, "-3"])
+        assert exc.value.code == EX_USAGE
+        assert f"argument {option}: count must not be negative: '-3'" in capsys.readouterr().err
+
+    def test_zero_sample_counts_are_accepted(self, capsys):
+        code, out, _ = run(capsys, "verify-theorem", "--id", "3.4",
+                           "--spot-samples", "0", "--samples", "0")
+        assert code == 0
+        assert "family 1: confirmed (0 instantiations)" in out
+
 
 class TestCheckCustom:
     GOOD = "[e1,e2] = gamma*e3\n[e1,e3] = 0\n[e2,e3] = 0\nrequire_nonzero gamma\n"

@@ -1,14 +1,44 @@
 from fractions import Fraction
 
-from bottsol.algebra import Vec3
-from bottsol.curvature import curvature_delta, symmetrize
-from bottsol.pipeline import all_configurations, eta_signs, stage
+import pytest
+
+from bottsol.algebra import Vec3, combine, parse_custom_file, screen_jacobi
+from bottsol.connection import DISTRIBUTIONS
+from bottsol.curvature import CurvatureTensor, curvature_delta, riemann, symmetrize
+from bottsol.pipeline import all_configurations, build, eta_signs, stage
 from bottsol.registry import load_fixtures
 from bottsol.scalar import Poly, parse_vector
 
 
 def V(text):
     return Vec3(parse_vector(text))
+
+
+def reference_riemann(spec, conn) -> CurvatureTensor:
+    """The contraction over all 27 triples (i, j, p), with no use of
+    antisymmetry: R(e_i,e_j)e_p = sum_k (gamma_jp^k gamma[i][k]
+    - gamma_ip^k gamma[j][k] - c_ij^k gamma[k][p])."""
+    g = conn.gamma
+    return CurvatureTensor(tuple(
+        tuple(
+            tuple(
+                combine(g[j][p].c, g[i]) - combine(g[i][p].c, g[j])
+                - combine(spec.c[i][j].c, [g[k][p] for k in range(3)])
+                for p in range(3)
+            )
+            for j in range(3)
+        )
+        for i in range(3)
+    ))
+
+
+# G1 at alpha -> 2/3*alpha + 1/2, beta -> -5/4*beta: a Lie algebra outside
+# the catalog whose brackets have rational coefficients.
+RATIONAL_SPEC = """
+[e1,e2] = (2/3*alpha + 1/2)*e1 + 5/4*beta*e3
+[e1,e3] = -(2/3*alpha + 1/2)*e1 + 5/4*beta*e2
+[e2,e3] = -5/4*beta*e1 + (2/3*alpha + 1/2)*e2 + (2/3*alpha + 1/2)*e3
+"""
 
 
 class TestRiemann:
@@ -23,6 +53,20 @@ class TestRiemann:
     def test_g6_third_distribution_flat(self):
         curv = stage("G6", "D2").riemann
         assert all(vec.is_zero() for _, vec in curv.entries())
+
+    def test_half_contraction_equals_reference_on_catalog(self):
+        for group, dist, perturbed, eta in all_configurations():
+            st = stage(group, dist, perturbed, eta)
+            assert riemann(st.spec, st.conn) == reference_riemann(st.spec, st.conn)
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
+    def test_half_contraction_equals_reference_on_custom_spec(self, dist, perturbed):
+        spec = parse_custom_file(RATIONAL_SPEC)
+        screen_jacobi(spec)
+        st = build(spec, dist, perturbed)
+        assert not all(vec.is_zero() for _, vec in st.riemann.entries())
+        assert st.riemann == reference_riemann(spec, st.conn)
 
     def test_antisymmetry_all_connections(self):
         for group, dist, perturbed, eta in all_configurations():

@@ -85,14 +85,6 @@ class Vec3:
         return out
 
 
-def metric_pair(x: Vec3, y: Vec3) -> Poly:
-    """g(x, y) = x1*y1 + x2*y2 - x3*y3."""
-    total = Poly.zero()
-    for sign, a, b in zip(METRIC_SIGNS, x.c, y.c):
-        total = total + (a * b).scaled(sign)
-    return total
-
-
 @dataclass(frozen=True)
 class LieAlgebraSpec:
     label: str
@@ -150,10 +142,6 @@ def jacobi_defect(spec: LieAlgebraSpec) -> Vec3:
         + bracket(spec, bracket(spec, e2, e3), e1)
         + bracket(spec, bracket(spec, e3, e1), e2)
     )
-
-
-def jacobi_holds(spec: LieAlgebraSpec) -> bool:
-    return jacobi_defect(spec).is_zero()
 
 
 _ROW_KEYS = ((1, 2), (1, 3), (2, 3))

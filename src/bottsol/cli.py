@@ -294,7 +294,7 @@ def _cmd_check_custom(args) -> int:
     try:
         with open(args.spec_file, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.spec_file}: {exc}", file=sys.stderr)
         return EX_USAGE
     try:

@@ -11,16 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import METRIC_SIGNS, LieAlgebraSpec, Vec3, bilinear
+from .algebra import METRIC_SIGNS, LieAlgebraSpec, Vec3
 from .scalar import Poly
-
-LEVI_CIVITA = "levi_civita"
-BOTT = "bott"
-PERTURBED_BOTT = "perturbed_bott"
-
-
-class KindMismatch(Exception):
-    """Operation applied to a connection of the wrong kind."""
 
 
 @dataclass(frozen=True)
@@ -49,9 +41,7 @@ DISTRIBUTIONS = {"D": D, "D1": D1, "D2": D2}
 
 @dataclass(frozen=True)
 class Connection:
-    kind: str
     gamma: tuple  # gamma[i][j]: Vec3, 0-indexed
-    distribution: Distribution | None = None
 
     def row(self, i: int, j: int) -> Vec3:
         """nabla_{e_i} e_j for 1-based indices."""
@@ -89,7 +79,7 @@ def levi_civita(spec: LieAlgebraSpec) -> Connection:
         )
         for i in range(3)
     )
-    return Connection(LEVI_CIVITA, table)
+    return Connection(table)
 
 
 def bott(spec: LieAlgebraSpec, lc: Connection, dist: Distribution) -> Connection:
@@ -99,8 +89,6 @@ def bott(spec: LieAlgebraSpec, lc: Connection, dist: Distribution) -> Connection
     side (both in the plane or both normal) and the bracket [e_i, e_j]
     otherwise, projected onto the side of e_j.
     """
-    if lc.kind != LEVI_CIVITA:
-        raise KindMismatch("bott() needs the Levi-Civita connection as input")
     table = []
     for i in (1, 2, 3):
         row = []
@@ -109,24 +97,16 @@ def bott(spec: LieAlgebraSpec, lc: Connection, dist: Distribution) -> Connection
             vec = lc.row(i, j) if i in side else spec.bracket_basis(i, j)
             row.append(dist.project(vec, side))
         table.append(tuple(row))
-    return Connection(BOTT, tuple(table), dist)
+    return Connection(tuple(table))
 
 
-def perturb(base: Connection) -> Connection:
-    """Add the rank-one term a0 along the normal direction.
+def perturb(base: Connection, dist: Distribution) -> Connection:
+    """Add the rank-one term a0 along the normal direction of `dist`.
 
     Only gamma[n][n] changes, gaining +a0*e_n where n is the normal index.
     """
-    if base.kind != BOTT:
-        raise KindMismatch("perturb() applies to Bott connections only")
-    dist = base.distribution
     n = dist.normal
     bump = Vec3.basis(n).scale(Poly.var("a0"))
     table = [list(row) for row in base.gamma]
     table[n - 1][n - 1] = table[n - 1][n - 1] + bump
-    return Connection(PERTURBED_BOTT, tuple(tuple(row) for row in table), dist)
-
-
-def apply(conn: Connection, x: Vec3, y: Vec3) -> Vec3:
-    """nabla_x y by bilinear expansion (valid for constant-component fields)."""
-    return bilinear(conn.gamma, x, y)
+    return Connection(tuple(tuple(row) for row in table))

@@ -43,9 +43,6 @@ class BilinearForm:
             for j in (1, 2, 3):
                 yield (i, j), self.at(i, j)
 
-    def is_symmetric(self) -> bool:
-        return all(self.at(i, j) == self.at(j, i) for i in (1, 2, 3) for j in (1, 2, 3))
-
     def __str__(self) -> str:
         return "\n".join(
             "[ " + ", ".join(str(self.at(i, j)) for j in (1, 2, 3)) + " ]" for i in (1, 2, 3)

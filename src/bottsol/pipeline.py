@@ -39,14 +39,15 @@ def build(spec: LieAlgebraSpec, dist_name: str, perturbed: bool = False,
     """
     if lc is None:
         lc = connection.levi_civita(spec)
-    conn = connection.bott(spec, lc, connection.DISTRIBUTIONS[dist_name])
+    dist = connection.DISTRIBUTIONS[dist_name]
+    conn = connection.bott(spec, lc, dist)
     if perturbed:
-        conn = connection.perturb(conn)
+        conn = connection.perturb(conn, dist)
     curv = curvature.riemann(spec, conn)
     rho = curvature.ricci(curv)
     rho_sym = curvature.symmetrize(rho)
     lie = soliton.lie_derivative_form(conn, soliton.soliton_vector())
-    system = soliton.build_system(spec, conn, rho_sym, lie)
+    system = soliton.build_system(spec, rho_sym, lie, dist_name, perturbed)
     return Stage(spec, lc, conn, curv, rho, rho_sym, lie, system)
 
 

@@ -269,14 +269,14 @@ class Poly:
             if name not in _INDEX:
                 raise UnknownParameter(f"{name!r} is not in the parameter alphabet {PARAMS}")
             binds[name] = RatFun.coerce(value)
-        total = RatFun.zero()
+        total = RatFun.coerce(0)
         for e, c in self.terms.items():
-            term = RatFun.from_poly(Poly.const(c))
+            term = RatFun.coerce(c)
             for i, k in enumerate(e):
                 if not k:
                     continue
                 name = PARAMS[i]
-                base = binds.get(name, RatFun.from_poly(Poly.var(name)))
+                base = binds.get(name, RatFun.coerce(Poly.var(name)))
                 term = term * base.pow(k)
             total = total + term
         return total
@@ -284,7 +284,7 @@ class Poly:
     def partial_eval(self, point: Mapping[str, Fraction]) -> "Poly":
         """Substitute the rational values `point` gives; other parameters stay.
 
-        Equal to RatFun.from_poly(self).substitute(point).num, computed on
+        Equal to RatFun.coerce(self).substitute(point).num, computed on
         coefficients alone.
         """
         bound = []
@@ -382,20 +382,16 @@ def poly_div_exact(num: Poly, den: Poly) -> Poly | None:
 _ONE = Poly.const(1)
 
 
-def _is_one(p: Poly) -> bool:
-    return p is _ONE or p.terms == _ONE.terms
-
-
 @dataclass(frozen=True)
 class RatFun:
     """Quotient of two Polys, normalized enough that zero-testing is exact.
 
     Normalization: nonzero denominator, monic denominator (grlex leading
     coefficient 1), and syntactic cancellation when one side exactly divides
-    the other.  A polynomial value therefore has the denominator 1, and
-    arithmetic between such values builds its result without `make`.
-    Equality is decided by cross-multiplication, so the missing full
-    multivariate gcd never affects correctness.
+    the other, so a polynomial value has the denominator 1.  Every operation
+    normalizes its result through `make`.  Equality is decided by
+    cross-multiplication, so the missing full multivariate gcd never affects
+    correctness.
     """
 
     num: Poly
@@ -419,21 +415,13 @@ class RatFun:
         return RatFun(num.scaled(1 / lead), den.scaled(1 / lead))
 
     @staticmethod
-    def zero() -> "RatFun":
-        return RatFun(Poly.zero(), _ONE)
-
-    @staticmethod
-    def from_poly(p: Poly) -> "RatFun":
-        return RatFun(p, _ONE)
-
-    @staticmethod
     def coerce(value) -> "RatFun":
         if isinstance(value, RatFun):
             return value
-        if isinstance(value, Poly):
-            return RatFun.from_poly(value)
         if isinstance(value, (int, Fraction)):
-            return RatFun.from_poly(Poly.const(value))
+            value = Poly.const(value)
+        if isinstance(value, Poly):
+            return RatFun(value, _ONE)
         raise TypeError(f"cannot interpret {value!r} as a rational function")
 
     def is_zero(self) -> bool:
@@ -443,16 +431,12 @@ class RatFun:
         return self.den.is_constant()
 
     def as_poly(self) -> Poly:
-        if _is_one(self.den):
-            return self.num
         if not self.is_poly():
             raise ScalarError(f"{self} is not polynomial")
         return self.num.scaled(1 / self.den.constant_value())
 
     def __add__(self, other) -> "RatFun":
         other = RatFun.coerce(other)
-        if _is_one(self.den) and _is_one(other.den):
-            return RatFun(self.num + other.num, _ONE)
         return RatFun.make(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -468,8 +452,6 @@ class RatFun:
 
     def __mul__(self, other) -> "RatFun":
         other = RatFun.coerce(other)
-        if _is_one(self.den) and _is_one(other.den):
-            return RatFun(self.num * other.num, _ONE)
         return RatFun.make(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -478,14 +460,12 @@ class RatFun:
         other = RatFun.coerce(other)
         if other.num.is_zero():
             raise DenominatorZero("division by the zero rational function")
-        if _is_one(self.den) and _is_one(other.den) and other.num.is_constant():
-            return RatFun(self.num.scaled(1 / other.num.constant_value()), _ONE)
         return RatFun.make(self.num * other.den, self.den * other.num)
 
     def pow(self, n: int) -> "RatFun":
         if n < 0:
             raise ValueError("use explicit division for negative powers")
-        return _power(self, n, RatFun.from_poly(Poly.const(1)), RatFun.__mul__)
+        return _power(self, n, RatFun.coerce(1), RatFun.__mul__)
 
     def __eq__(self, other) -> bool:
         try:
@@ -565,8 +545,13 @@ def _height(poly: Poly) -> int:
     return max(d, sum(abs(c.numerator) * (d // c.denominator) for c in poly.terms.values()))
 
 
+def _parts(c) -> tuple:
+    """(numerator, denominator) of a parsed Poly or RatFun."""
+    return (c.num, c.den) if isinstance(c, RatFun) else (c, _ONE)
+
+
 def _size(value) -> int:
-    return sum(len(c.num.terms) + len(c.den.terms) for c in value.values())
+    return sum(len(num.terms) + len(den.terms) for num, den in map(_parts, value.values()))
 
 
 class _Tokens:
@@ -608,11 +593,12 @@ class _Tokens:
 
 
 class _ExprParser:
-    """Parses into RatFun over PARAMS extended by e1,e2,e3 tracked separately.
+    """Parses into polynomials over PARAMS extended by e1,e2,e3 tracked separately.
 
-    A value is a map from basis exponent vector (3-tuple) to RatFun; pure
-    scalars live at (0,0,0).  Products may not exceed total basis degree 1,
-    which is exactly what connection/curvature table rows need.
+    A value maps 0 to the scalar part and k to the coefficient of e_k.  Each
+    coefficient is a Poly; only a division by a non-constant scalar makes a
+    RatFun.  Products may not exceed total basis degree 1, which is exactly
+    what connection/curvature table rows need.
     """
 
     def __init__(self, text: str, eta=None, vector=False):
@@ -640,10 +626,10 @@ class _ExprParser:
     @staticmethod
     def _combine(a, b, sign):
         out = dict(a)
-        for e, c in b.items():
-            cur = out.get(e, RatFun.zero())
-            out[e] = cur + (c if sign > 0 else -c)
-        return {e: c for e, c in out.items() if not c.is_zero()}
+        for k, c in b.items():
+            c = c if sign > 0 else -c
+            out[k] = out[k] + c if k in out else c
+        return {k: c for k, c in out.items() if not c.is_zero()}
 
     def _term(self):
         value = self._factor()
@@ -657,27 +643,28 @@ class _ExprParser:
         if _size(a) * _size(b) > MAX_PRODUCT_TERMS:
             raise ParseError("expression too large")
         if invert:
-            if list(b) not in ([], [(0, 0, 0)]):
+            if list(b) not in ([], [0]):
                 raise ParseError("division by a vector expression")
-            scalar = b.get((0, 0, 0), RatFun.zero())
+            scalar = b.get(0, Poly.zero())
             if scalar.is_zero():
                 raise DenominatorZero("division by zero in expression")
-            return {e: c / scalar for e, c in a.items()}
+            if isinstance(scalar, Poly) and scalar.is_constant():
+                return {k: c * (1 / scalar.constant_value()) for k, c in a.items()}
+            return {k: RatFun.coerce(c) / scalar for k, c in a.items()}
         out: dict = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if sum(e) > 1:
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                if k1 and k2:
                     raise ParseError("product of basis vectors is not a vector")
-                cur = out.get(e, RatFun.zero())
-                out[e] = cur + c1 * c2
-        return {e: c for e, c in out.items() if not c.is_zero()}
+                k = k1 or k2
+                out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+        return {k: c for k, c in out.items() if not c.is_zero()}
 
     def _factor(self):
         if self.toks.peek() == "-":
             self.toks.next()
             inner = self._factor()
-            return {e: -c for e, c in inner.items()}
+            return {k: -c for k, c in inner.items()}
         value = self._atom()
         if self.toks.peek() == "^":
             self.toks.next()
@@ -685,11 +672,12 @@ class _ExprParser:
             if not exp_tok.isdigit():
                 raise ParseError(f"exponent must be a non-negative integer, got {exp_tok!r}")
             n = _uint(exp_tok)
-            height = max((_height(c.num) * _height(c.den) for c in value.values()), default=1)
+            height = max((_height(num) * _height(den) for num, den in map(_parts, value.values())),
+                         default=1)
             limit = sys.get_int_max_str_digits()  # the digit limit _uint meets on literals
             if limit and height > 1 and n > limit / log10(height):
                 raise ParseError("expression too large")
-            return _power(value, n, {(0, 0, 0): RatFun.from_poly(Poly.const(1))}, self._mul)
+            return _power(value, n, {0: _ONE}, self._mul)
         return value
 
     def _atom(self):
@@ -700,46 +688,49 @@ class _ExprParser:
                 raise ParseError("missing closing parenthesis")
             return inner
         if tok.isdigit():
-            return {(0, 0, 0): RatFun.from_poly(Poly.const(_uint(tok)))}
+            return {0: Poly.const(_uint(tok))}
         if tok in _BASIS:
             if not self.vector:
                 raise ParseError(f"basis vector {tok} not allowed in a scalar expression")
-            e = [0, 0, 0]
-            e[_BASIS.index(tok)] = 1
-            return {tuple(e): RatFun.from_poly(Poly.const(1))}
+            return {_BASIS.index(tok) + 1: _ONE}
         if tok == "eta":
             if self.eta is None:
                 raise ParseError("eta is only meaningful with an explicit sign (+1 or -1)")
-            return {(0, 0, 0): RatFun.from_poly(Poly.const(self.eta))}
+            return {0: Poly.const(self.eta)}
         if tok in _INDEX:
-            return {(0, 0, 0): RatFun.from_poly(Poly.var(tok))}
+            return {0: Poly.var(tok)}
         raise ParseError(f"unknown name {tok!r}")
 
 
+def _as_poly(value) -> Poly | None:
+    """A parsed coefficient as a Poly; None for a true quotient."""
+    if isinstance(value, Poly):
+        return value
+    return value.as_poly() if value.is_poly() else None
+
+
 def parse_ratfun(text: str, eta=None) -> RatFun:
-    value = _ExprParser(text, eta=eta, vector=False).parse()
-    return value.get((0, 0, 0), RatFun.zero())
+    value = _ExprParser(text, eta=eta).parse()
+    return RatFun.coerce(value.get(0, Poly.zero()))
 
 
 def parse_poly(text: str, eta=None) -> Poly:
-    r = parse_ratfun(text, eta=eta)
-    if not r.is_poly():
-        raise ParseError(f"{text!r} is not polynomial (denominator {r.den})")
-    return r.as_poly()
+    value = _ExprParser(text, eta=eta).parse().get(0, Poly.zero())
+    poly = _as_poly(value)
+    if poly is None:
+        raise ParseError(f"{text!r} is not polynomial (denominator {value.den})")
+    return poly
 
 
 def parse_vector(text: str, eta=None) -> tuple:
     """Parse 'a*e1 + b*e2 + c*e3' into a triple of Polys."""
     value = _ExprParser(text, eta=eta, vector=True).parse()
-    comps = []
-    scalar_part = value.get((0, 0, 0), RatFun.zero())
-    if not scalar_part.is_zero():
+    if not value.get(0, Poly.zero()).is_zero():
         raise ParseError(f"{text!r} has a scalar part; vector rows must be pure vectors")
-    for k in range(3):
-        e = [0, 0, 0]
-        e[k] = 1
-        r = value.get(tuple(e), RatFun.zero())
-        if not r.is_poly():
-            raise ParseError(f"component {k + 1} of {text!r} is not polynomial")
-        comps.append(r.as_poly())
+    comps = []
+    for k in (1, 2, 3):
+        poly = _as_poly(value.get(k, Poly.zero()))
+        if poly is None:
+            raise ParseError(f"component {k} of {text!r} is not polynomial")
+        comps.append(poly)
     return tuple(comps)

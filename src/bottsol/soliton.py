@@ -21,7 +21,7 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .algebra import METRIC_SIGNS, LieAlgebraSpec, Vec3, combine
-from .connection import PERTURBED_BOTT, Connection
+from .connection import Connection
 from .curvature import BilinearForm
 from .scalar import PARAMS, DenominatorZero, Poly, RatFun, UnboundParameter, poly_div_exact
 
@@ -78,10 +78,11 @@ class SolitonSystem:
 
 
 def build_system(
-    spec: LieAlgebraSpec, conn: Connection, rho_sym: BilinearForm, lie: BilinearForm
+    spec: LieAlgebraSpec, rho_sym: BilinearForm, lie: BilinearForm, dist_name: str,
+    perturbed: bool,
 ) -> SolitonSystem:
     """Assemble the system from the symmetrized Ricci form and the Lie-derivative
-    form that were built on `conn`."""
+    form of the (perturbed, when `perturbed`) Bott connection of `dist_name`."""
     mu = Poly.var("mu")
     equations = []
     for (i, j) in _PAIRS:
@@ -92,14 +93,13 @@ def build_system(
         norm = raw.primitive()
         if norm not in equations:
             equations.append(norm)
-    perturbed = conn.kind == PERTURBED_BOTT
     params = list(spec.parameters)
     if perturbed:
         params.append("a0")
     return SolitonSystem(
         equations=tuple(equations),
         group=spec.label,
-        distribution=conn.distribution.name if conn.distribution else "",
+        distribution=dist_name,
         perturbed=perturbed,
         eta_sign=spec.eta_sign,
         equality_constraints=spec.equality_constraints,
@@ -293,19 +293,6 @@ class IntegerRows:
                 entries.append(entry)
             rows.append(entries)
         return rows
-
-
-def solve_affine(rows: list, n_unknowns: int) -> PointVerdict:
-    """Exact solution of [A | b] rows meaning A*x + b = 0, rows of ints or Fractions.
-
-    Each row is scaled by the least common multiple of its denominators, which
-    keeps its solutions, and solved by `_solve_integer_rows`.
-    """
-    integer_rows = []
-    for row in rows:
-        scale = lcm(*(x.denominator for x in row))
-        integer_rows.append([x.numerator * (scale // x.denominator) for x in row])
-    return _solve_integer_rows(integer_rows, n_unknowns)
 
 
 def _solve_integer_rows(m: list, n_unknowns: int) -> PointVerdict:

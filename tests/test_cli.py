@@ -201,6 +201,13 @@ class TestCheckCustom:
         code, _, err = run(capsys, "check-custom", "--spec-file", "/nonexistent.alg")
         assert code == EX_USAGE
 
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.alg"
+        path.write_bytes(b"\xff\xfe[e1,e2] = e3\n")
+        code, out, err = run(capsys, "check-custom", "--spec-file", str(path))
+        assert code == EX_USAGE
+        assert err.startswith(f"cannot read {path}: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("row", ["(1/0)*e3", "(" * 3000 + "e3" + ")" * 3000,
                                      "(alpha+beta+gamma+1)^60*e3", "2^20000*e1"])
     def test_hostile_row_is_input_error(self, tmp_path, capsys, row):

@@ -1,17 +1,10 @@
 import pytest
 
-from bottsol.algebra import GROUPS, Vec3, bracket, catalog, custom_spec, metric_pair
-from bottsol.connection import (
-    DISTRIBUTIONS,
-    Distribution,
-    KindMismatch,
-    apply,
-    bott,
-    levi_civita,
-    perturb,
-)
+from bottsol.algebra import GROUPS, Vec3, bracket, catalog, custom_spec
+from bottsol.connection import DISTRIBUTIONS, Distribution, bott, levi_civita, perturb
 from bottsol.pipeline import eta_signs, stage
 from bottsol.scalar import Poly, parse_vector
+from helpers import apply, metric_pair
 
 E = [None, Vec3.basis(1), Vec3.basis(2), Vec3.basis(3)]
 
@@ -74,13 +67,6 @@ class TestBott:
         conn = stage("G1", "D1").conn
         assert conn.row(2, 1) == V("-alpha*e1 + beta*e3")
 
-    def test_requires_levi_civita_input(self):
-        spec = catalog("G1")
-        lc = levi_civita(spec)
-        b = bott(spec, lc, DISTRIBUTIONS["D"])
-        with pytest.raises(KindMismatch):
-            bott(spec, b, DISTRIBUTIONS["D"])
-
     def test_support_invariant(self):
         # All four cases project onto the subspace the second argument lives
         # in: rows with j in the plane stay in the plane, rows with j on the
@@ -113,7 +99,7 @@ class TestPerturb:
             lc = levi_civita(spec)
             for dist in DISTRIBUTIONS.values():
                 base = bott(spec, lc, dist)
-                pert = perturb(base)
+                pert = perturb(base, dist)
                 n = dist.normal
                 diffs = [
                     (i, j)
@@ -123,11 +109,6 @@ class TestPerturb:
                 assert diffs == [(n, n)]
                 delta = pert.row(n, n) - base.row(n, n)
                 assert delta == Vec3.basis(n).scale(Poly.var("a0"))
-
-    def test_kind_mismatch(self):
-        lc = stage("G1", "D").levi_civita
-        with pytest.raises(KindMismatch):
-            perturb(lc)
 
 
 class TestApply:

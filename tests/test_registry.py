@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 
 from bottsol import registry
 from bottsol.registry import RegistryError
+from bottsol.scalar import Poly, parse_poly, parse_ratfun
 
 HEADER = "[theorem 9.1 group=G1 dist=D kind=families]\n"
 
@@ -22,3 +25,52 @@ def test_theorem_registry_errors(monkeypatch, text, message):
     with pytest.raises(RegistryError) as exc:
         registry.load_theorems()
     assert str(exc.value) == message
+
+
+def test_stored_tables_parse_without_rational_functions(monkeypatch):
+    """Every stored table is polynomial, so loading all of them at each G4
+    sign builds no RatFun at all."""
+    from bottsol import pipeline
+    from bottsol.scalar import RatFun
+
+    built = []
+    original = RatFun.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(RatFun, "__init__", counted)
+    loaded = 0
+    for fix in registry.load_fixtures():
+        for eta in pipeline.eta_signs(fix.group):
+            getattr(fix, registry.TABLE_KINDS[fix.kind].loader)(eta=eta)
+            loaded += 1
+    assert loaded > 196 and not built
+    RatFun.make(Poly.var("alpha"), Poly.var("beta"))
+    assert len(built) == 1  # the counter is live
+
+
+# sha256 over every family's bind values (as (num, den)) and side conditions,
+# parsed at both signs, with terms sorted.  Computed before the parser built
+# polynomials instead of wrapping each atom in a RatFun.
+FAMILY_PARSE_DIGEST = "3123c64b3050ad2e43368f968e7122b46d6a57ae4f75d302a7595cc0d0d386df"
+
+
+def test_family_parses_are_unchanged():
+    def canon(p):
+        return sorted(p.terms.items())
+
+    digest = hashlib.sha256()
+    for rec in registry.load_theorems():
+        for fam in list(rec.families) + [f for clause in rec.clauses for f in clause.families]:
+            for eta in (1, -1):
+                for name, expr in fam.bindings + fam.completion_bindings:
+                    r = parse_ratfun(expr, eta=eta)
+                    digest.update(f"{rec.id} {fam.label} {eta} {name} {canon(r.num)} / "
+                                  f"{canon(r.den)}\n".encode())
+                for expr in (fam.side_equal + fam.side_nonzero + fam.completion_equal
+                             + fam.completion_nonzero):
+                    digest.update(f"{rec.id} {fam.label} {eta} "
+                                  f"{canon(parse_poly(expr, eta=eta))}\n".encode())
+    assert digest.hexdigest() == FAMILY_PARSE_DIGEST

@@ -57,7 +57,7 @@ class TestSubstitute:
 
     def test_free_parameters_pass_through(self):
         r = P("alpha + mu").substitute({"mu": 0})
-        assert r == RatFun.from_poly(P("alpha"))
+        assert r == RatFun.coerce(P("alpha"))
 
 
 class TestEval:
@@ -118,6 +118,15 @@ class TestParser:
         for text in ("alpha +", "(alpha", "alpha ^ beta", "e1*e2"):
             with pytest.raises(ParseError):
                 parse_vector(text)
+
+    def test_exact_quotient_is_polynomial(self):
+        assert parse_poly("(alpha*beta + beta^2)/beta") == P("alpha + beta")
+        assert parse_vector("(alpha*beta + beta^2)/beta*e1") == (P("alpha + beta"), Poly.zero(),
+                                                                 Poly.zero())
+        with pytest.raises(ParseError, match=r"^'alpha/beta' is not polynomial \(denominator beta\)$"):
+            parse_poly("alpha/beta")
+        with pytest.raises(ParseError, match=r"^component 1 of 'alpha/beta\*e1' is not polynomial$"):
+            parse_vector("alpha/beta*e1")
 
 
 def test_poly_div_exact():
@@ -185,7 +194,7 @@ def test_hash_agrees_with_equality(a, b, c, k):
     assert hash(Poly.const(k)) == hash(k)
     assert hash(Poly.const(k.numerator)) == hash(k.numerator)
     with pytest.raises(TypeError):
-        hash(RatFun.from_poly(a))
+        hash(RatFun.coerce(a))
 
 
 def test_equal_ratfuns_are_unhashable():
@@ -204,7 +213,7 @@ def test_power_is_repeated_product(p, n):
     for _ in range(n):
         expected = expected * p
     assert p ** n == expected
-    assert RatFun.from_poly(p).pow(n) == RatFun.from_poly(expected)
+    assert RatFun.coerce(p).pow(n) == RatFun.coerce(expected)
 
 
 def test_oversized_expression_is_rejected():
@@ -235,9 +244,9 @@ def test_large_exponent():
 
 # -- kernel normal form --------------------------------------------------------
 #
-# A polynomial value is a RatFun with denominator 1, and arithmetic between
-# such values skips RatFun.make.  The fast paths must give exactly the pair
-# (num, den) that make gives on the unreduced products.
+# Each RatFun operation is RatFun.make on the unreduced sum, product or
+# quotient: it must give exactly make's pair (num, den), for polynomial values
+# (denominator 1) and true quotients alike.
 
 _nonzero_coeffs = _coeffs.filter(bool)
 

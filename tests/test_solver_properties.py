@@ -1,8 +1,7 @@
 """Property tests for the exact point solver and numeric substitution.
 
-`reference_solve` is Gauss-Jordan elimination to reduced row echelon form
-over Fractions; the fraction-free integer solver must agree with it on
-every input, witness included.
+The fraction-free integer solver must agree with Gauss-Jordan elimination
+(`helpers.reference_solve`) on every input, witness included.
 """
 
 from fractions import Fraction
@@ -13,35 +12,10 @@ from hypothesis import strategies as st
 
 from bottsol.pipeline import all_configurations, stage
 from bottsol.scalar import PARAMS, Poly, RatFun
-from bottsol.soliton import UNKNOWNS, PointVerdict, solve_affine
+from bottsol.soliton import UNKNOWNS
+from helpers import reference_solve, solve_affine
 
 SETTINGS = settings(max_examples=100, deadline=None)
-
-
-def reference_solve(rows: list, n_unknowns: int) -> PointVerdict:
-    """Exact Gauss-Jordan elimination on [A | b] rows meaning A*x + b = 0."""
-    m = [list(map(Fraction, row)) for row in rows]
-    pivots = []
-    r = 0
-    for col in range(n_unknowns):
-        pivot = next((k for k in range(r, len(m)) if m[k][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        m[r] = [x / m[r][col] for x in m[r]]
-        for k in range(len(m)):
-            if k != r and m[k][col] != 0:
-                factor = m[k][col]
-                m[k] = [a - factor * b for a, b in zip(m[k], m[r])]
-        pivots.append(col)
-        r += 1
-    for row in m[r:]:
-        if row[n_unknowns] != 0:
-            return PointVerdict(False)
-    witness = [Fraction(0)] * n_unknowns
-    for row_idx, col in enumerate(pivots):
-        witness[col] = -m[row_idx][n_unknowns]
-    return PointVerdict(True, dict(zip(UNKNOWNS, witness)), n_unknowns - len(pivots))
 
 
 small = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -110,7 +84,7 @@ points = st.dictionaries(st.sampled_from(PARAMS), small, max_size=len(PARAMS))
 @SETTINGS
 @given(polys, points)
 def test_partial_eval_matches_symbolic_substitution(p, point):
-    assert p.partial_eval(point) == RatFun.from_poly(p).substitute(point).num
+    assert p.partial_eval(point) == RatFun.coerce(p).substitute(point).num
 
 
 @SETTINGS

@@ -182,9 +182,9 @@ def _cmd_print(args) -> int:
 
 def _fixture_lines(rep) -> list:
     mark = {"match": "ok", "known_discrepancy": "DISCREPANCY", "mismatch": "MISMATCH"}[rep.status]
-    lines = [f"[{mark}] {rep.fixture_id} {rep.kind} {rep.group}/{rep.distribution}"
+    lines = [f"[{mark}] {rep.id} {rep.kind} {rep.group}/{rep.distribution}"
              + (" perturbed" if rep.perturbed else "")]
-    for d in rep.diffs:
+    for d in rep.mismatches:
         lines.append(f"    [{d.key}] stored:   {d.expected}")
         lines.append(f"    {' ' * len(f'[{d.key}]')} computed: {d.computed}")
     return lines
@@ -221,21 +221,21 @@ def _cmd_verify_fixture(args) -> int:
     counts = summary.counts()
     lines.append(_fixture_summary_line(counts))
     _emit(args, lines, {
-        "fixtures": [rep.to_json(timing=args.timing) for rep in summary.fixture_reports],
+        "fixtures": [verify.report_json(rep, args.timing) for rep in summary.fixture_reports],
         "summary": {status: counts[status] for status in verify.FIXTURE_STATUSES},
     })
     return summary.exit_code()
 
 
 def _theorem_lines(rep) -> list:
-    lines = [f"[{rep.status}] {rep.theorem_id} ({rep.kind}, "
+    lines = [f"[{rep.status}] {rep.id} ({rep.kind}, "
              f"{rep.group or 'all groups'}/{rep.distribution}"
              + (" perturbed" if rep.perturbed else "") + f", {rep.points_checked} points)"]
     for f in rep.families:
         if f.status == "confirmed":
-            lines.append(f"    family {f.label}: confirmed ({f.spot_checks} instantiations)")
+            lines.append(f"    family {f.branch}: confirmed ({f.spot_checks} instantiations)")
         else:
-            lines.append(f"    family {f.label}: {f.status}")
+            lines.append(f"    family {f.branch}: {f.status}")
             if f.equation:
                 lines.append(f"        violated equation: {f.equation} = 0")
             if f.residual:
@@ -259,7 +259,7 @@ def _cmd_verify_theorem(args) -> int:
     lines = []
     for rep in summary.theorem_reports:
         lines.extend(_theorem_lines(rep))
-    _emit(args, lines, {"theorems": [rep.to_json(timing=args.timing)
+    _emit(args, lines, {"theorems": [verify.report_json(rep, args.timing)
                                      for rep in summary.theorem_reports], "seed": args.seed})
     return summary.exit_code()
 
@@ -282,8 +282,8 @@ def _cmd_verify_all(args) -> int:
     )
     payload = {
         "seed": args.seed,
-        "fixtures": [rep.to_json(timing=args.timing) for rep in summary.fixture_reports],
-        "theorems": [rep.to_json(timing=args.timing) for rep in summary.theorem_reports],
+        "fixtures": [verify.report_json(rep, args.timing) for rep in summary.fixture_reports],
+        "theorems": [verify.report_json(rep, args.timing) for rep in summary.theorem_reports],
         "summary": counts,
     }
     _emit(args, lines, payload)

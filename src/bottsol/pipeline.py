@@ -88,7 +88,7 @@ def eta_signs(group: str) -> tuple:
 def all_configurations():
     """Yield (group, dist_name, perturbed, eta_sign) over the whole catalog."""
     for group in algebra.GROUPS:
-        for dist_name in ("D", "D1", "D2"):
+        for dist_name in connection.DISTRIBUTIONS:
             for perturbed in (False, True):
                 for eta in eta_signs(group):
                     yield group, dist_name, perturbed, eta

@@ -26,7 +26,8 @@ import re
 from dataclasses import dataclass, fields, is_dataclass, replace
 from importlib import resources
 
-from .algebra import Vec3, content_lines
+from .algebra import GROUPS, Vec3, content_lines
+from .connection import DISTRIBUTIONS
 from .scalar import parse_poly, parse_vector
 
 _UPPER_PAIRS = tuple((i, j) for i in (1, 2, 3) for j in range(i, 4))
@@ -151,8 +152,8 @@ def _parse_table_file(text: str, group: str, dist: str) -> list:
 
 def load_fixtures() -> list:
     fixtures = []
-    for dist in ("D", "D1", "D2"):
-        for group in ("G1", "G2", "G3", "G4", "G5", "G6", "G7"):
+    for dist in DISTRIBUTIONS:
+        for group in GROUPS:
             text = _data_text(f"tables/{dist}/{group}.tab")
             fixtures.extend(_parse_table_file(text, group, dist))
     return fixtures
@@ -163,7 +164,8 @@ def load_fixtures() -> list:
 #
 #   [theorem <id> group=G1 dist=D (perturbed)? kind=<not_soliton|families>]
 #   [corollary <id> dist=D kind=einstein]
-#   family <label>:            starts a family (theorem blocks)
+#   family <label>:            starts a family (a families theorem or an
+#                              einstein clause)
 #   clause <group> <kind>:     starts a corollary clause (einstein|not_einstein)
 #   bind <name> = <ratfun>
 #   zero <poly>                side condition: must vanish
@@ -174,14 +176,24 @@ def load_fixtures() -> list:
 
 
 @dataclass(frozen=True)
+class Claim:
+    """What a record states for one group: no soliton exists (`families`
+    None), or the solitons are the listed families.  An Einstein claim is a
+    soliton claim with mu1 = mu2 = mu3 = 0."""
+
+    group: str
+    einstein: bool
+    families: tuple | None  # FamilyRecord
+
+
+@dataclass(frozen=True)
 class TheoremRecord:
     id: str
     group: str | None
     distribution: str
     perturbed: bool
     kind: str  # not_soliton | families | einstein
-    families: tuple = ()  # FamilyRecord, theorem kinds
-    clauses: tuple = ()  # ClauseRecord, corollary kind
+    claims: tuple  # Claim: one per theorem, one per corollary clause
 
 
 @dataclass(frozen=True)
@@ -197,13 +209,6 @@ class FamilyRecord:
 
     def has_completion(self) -> bool:
         return bool(self.completion_bindings or self.completion_equal or self.completion_nonzero)
-
-
-@dataclass(frozen=True)
-class ClauseRecord:
-    group: str
-    kind: str  # einstein | not_einstein
-    families: tuple = ()
 
 
 _THM_HEADER = re.compile(r"^\[(theorem|corollary)\s+(\S+)\s+(.*?)\]$")
@@ -244,14 +249,20 @@ def _freeze(value):
 
 def load_theorems() -> list:
     records: list = []
-    families = family = None  # the list new families join; the family being read
+    claim = family = None  # the claim new families join; the family being read
     for lineno, line in content_lines(_data_text("theorems.tab")):
         m = _THM_HEADER.match(line)
         if m:
             kv = _parse_kv(m.group(3))
-            records.append(TheoremRecord(m.group(2), kv.get("group"), kv.get("dist"),
-                                         kv.get("perturbed", False), kv.get("kind"), [], []))
-            families, family = records[-1].families, None
+            kind, group = kv.get("kind"), kv.get("group")
+            if kind not in ("not_soliton", "families", "einstein"):
+                raise RegistryError(f"theorems line {lineno}: unknown theorem kind {kind!r}")
+            records.append(TheoremRecord(m.group(2), group, kv.get("dist"),
+                                         kv.get("perturbed", False), kind, []))
+            claim = family = None
+            if kind != "einstein":
+                claim = Claim(group, False, None if kind == "not_soliton" else [])
+                records[-1].claims.append(claim)
             continue
         if not records:
             raise RegistryError(f"theorems line {lineno}: content before first block")
@@ -259,16 +270,23 @@ def load_theorems() -> list:
             m = re.match(r"^clause\s+(\w+)\s+(\w+):$", line)
             if not m:
                 raise RegistryError(f"theorems line {lineno}: bad clause header")
-            records[-1].clauses.append(ClauseRecord(m.group(1), m.group(2), []))
-            families, family = records[-1].clauses[-1].families, None
+            if records[-1].kind != "einstein":
+                raise RegistryError(f"theorems line {lineno}: clause outside a corollary")
+            if m.group(2) not in ("einstein", "not_einstein"):
+                raise RegistryError(f"theorems line {lineno}: unknown clause kind {m.group(2)!r}")
+            claim = Claim(m.group(1), True, [] if m.group(2) == "einstein" else None)
+            records[-1].claims.append(claim)
+            family = None
             continue
         if line.startswith("family "):
             m = re.match(r"^family\s+(\w+):$", line)
             if not m:
                 raise RegistryError(f"theorems line {lineno}: bad family header")
+            if claim is None or claim.families is None:
+                raise RegistryError(f"theorems line {lineno}: family outside a claim of families")
             family = FamilyRecord(m.group(1), m.group(1).rstrip("ab"),
                                   **{name: [] for name in _FAMILY_FIELDS.values()})
-            families.append(family)
+            claim.families.append(family)
             continue
         completion = line.startswith("completion ")
         body = line[len("completion "):] if completion else line

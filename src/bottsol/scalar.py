@@ -263,21 +263,22 @@ class Poly:
     # -- substitution / evaluation ------------------------------------------
 
     def substitute(self, bindings: Mapping[str, "RatFun | Poly | int | Fraction"]) -> "RatFun":
-        """Simultaneous substitution; unbound parameters pass through."""
+        """Simultaneous substitution; unbound parameters pass through.
+
+        Each term's unbound part stays one polynomial term; only the bound
+        values are multiplied in, in parameter order."""
         binds = {}
         for name, value in bindings.items():
             if name not in _INDEX:
                 raise UnknownParameter(f"{name!r} is not in the parameter alphabet {PARAMS}")
-            binds[name] = RatFun.coerce(value)
+            binds[_INDEX[name]] = RatFun.coerce(value)
         total = RatFun.coerce(0)
         for e, c in self.terms.items():
-            term = RatFun.coerce(c)
+            free = tuple(0 if i in binds else k for i, k in enumerate(e))
+            term = RatFun.coerce(Poly._trusted({free: c}))
             for i, k in enumerate(e):
-                if not k:
-                    continue
-                name = PARAMS[i]
-                base = binds.get(name, RatFun.coerce(Poly.var(name)))
-                term = term * base.pow(k)
+                if k and i in binds:
+                    term = term * binds[i].pow(k)
             total = total + term
         return total
 

@@ -62,7 +62,6 @@ class SolitonSystem:
     group: str
     distribution: str
     perturbed: bool
-    eta_sign: int | None
     equality_constraints: tuple
     nonzero_constraints: tuple
     parameters: tuple  # group parameters plus a0 when perturbed
@@ -101,7 +100,6 @@ def build_system(
         group=spec.label,
         distribution=dist_name,
         perturbed=perturbed,
-        eta_sign=spec.eta_sign,
         equality_constraints=spec.equality_constraints,
         nonzero_constraints=spec.nonzero_constraints,
         parameters=tuple(params),

@@ -16,7 +16,7 @@ Outcome vocabulary:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import pipeline, registry
 from .registry import FamilyRecord, Fixture, TheoremRecord
@@ -52,32 +52,19 @@ class EntryDiff:
     computed: str
 
 
+# Each report field is the structured-output key of the same name.
+
+
 @dataclass(frozen=True, slots=True)
 class FixtureReport:
-    fixture_id: str
+    id: str
     kind: str
     group: str
     distribution: str
     perturbed: bool
     status: str
-    diffs: tuple = ()
+    mismatches: tuple = ()  # EntryDiff
     elapsed_ms: float = 0.0
-
-    def to_json(self, timing: bool = False) -> dict:
-        out = {
-            "id": self.fixture_id,
-            "kind": self.kind,
-            "group": self.group,
-            "distribution": self.distribution,
-            "perturbed": self.perturbed,
-            "status": self.status,
-            "mismatches": [
-                {"key": d.key, "expected": d.expected, "computed": d.computed} for d in self.diffs
-            ],
-        }
-        if timing:
-            out["elapsed_ms"] = round(self.elapsed_ms, 3)
-        return out
 
 
 def _canonical_system(polys) -> list:
@@ -177,54 +164,44 @@ def verify_fixture(fix: Fixture, errata: set | None = None) -> FixtureReport:
 
 @dataclass(frozen=True, slots=True)
 class FamilyReport:
-    label: str
-    printed_label: str
+    branch: str  # the family's label, with its a/b branch suffix
+    family: str  # the printed label; branches a/b share one
     status: str  # confirmed | discrepancy | refuted
     residual: str | None = None
     equation: str | None = None
     completion_status: str | None = None  # confirmed | refuted, when a completion exists
     spot_checks: int = 0
 
-    def to_json(self) -> dict:
-        return {
-            "family": self.printed_label,
-            "branch": self.label,
-            "status": self.status,
-            "residual": self.residual,
-            "equation": self.equation,
-            "completion_status": self.completion_status,
-            "spot_checks": self.spot_checks,
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class TheoremReport:
-    theorem_id: str
+    id: str
     group: str | None
     distribution: str
     perturbed: bool
     kind: str
     status: str
-    families: tuple = ()
+    families: tuple = ()  # FamilyReport
     points_checked: int = 0
     witness: str | None = None
     elapsed_ms: float = 0.0
 
-    def to_json(self, timing: bool = False) -> dict:
-        out = {
-            "id": self.theorem_id,
-            "group": self.group,
-            "distribution": self.distribution,
-            "perturbed": self.perturbed,
-            "kind": self.kind,
-            "status": self.status,
-            "families": [f.to_json() for f in self.families],
-            "points_checked": self.points_checked,
-            "witness": self.witness,
-        }
-        if timing:
-            out["elapsed_ms"] = round(self.elapsed_ms, 3)
-        return out
+
+def report_json(report, timing: bool = False) -> dict:
+    """The structured form of a report: each field under its own name, a
+    tuple of nested reports as a list of theirs.  `elapsed_ms` is left out
+    unless `timing` is set."""
+    out = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if f.name == "elapsed_ms":
+            if timing:
+                out["elapsed_ms"] = round(value, 3)
+        elif isinstance(value, tuple):
+            out[f.name] = [report_json(item, timing) for item in value]
+        else:
+            out[f.name] = value
+    return out
 
 
 def _family_from_record(rec: FamilyRecord, eta, completed: bool) -> SolutionFamily:
@@ -309,10 +286,14 @@ def _verify_family(
     # Completions document the corrected statement; they are checked
     # symbolically only (some corrected side conditions, e.g. sums of two
     # squares, have no generic rational parametrization to sample from).
+    # A corrected statement that contradicts itself is refuted.
     completion_status = None
     if rec.has_completion():
-        completed = check_family(system, _family_from_record(rec, eta, completed=True))
-        completion_status = CONFIRMED if completed.satisfied else REFUTED
+        try:
+            completed = check_family(system, _family_from_record(rec, eta, completed=True))
+            completion_status = CONFIRMED if completed.satisfied else REFUTED
+        except InconsistentFamily:
+            completion_status = REFUTED
     return FamilyReport(
         rec.label,
         rec.printed_label,
@@ -344,36 +325,6 @@ def _einstein_system(system: SolitonSystem) -> SolitonSystem:
 _EINSTEIN_ZERO = (("mu1", "0"), ("mu2", "0"), ("mu3", "0"))
 
 
-def _claims(rec: TheoremRecord) -> list:
-    """The record as (group, einstein, families) claims.  `families` None
-    claims that no soliton exists.  An Einstein claim is a soliton claim
-    with mu1 = mu2 = mu3 = 0."""
-    if rec.kind == "not_soliton":
-        return [(rec.group, False, None)]
-    if rec.kind == "families":
-        return [(rec.group, False, rec.families)]
-    if rec.kind != "einstein":
-        raise registry.RegistryError(f"unknown theorem kind {rec.kind}")
-    claims = []
-    for clause in rec.clauses:
-        if clause.kind == "not_einstein":
-            claims.append((clause.group, True, None))
-        elif clause.kind == "einstein":
-            families = tuple(
-                replace(
-                    fam,
-                    label=f"{clause.group}.{fam.label}",
-                    printed_label=f"{clause.group}.{fam.printed_label}",
-                    bindings=_EINSTEIN_ZERO + fam.bindings,
-                )
-                for fam in clause.families
-            )
-            claims.append((clause.group, True, families))
-        else:
-            raise registry.RegistryError(f"unknown clause kind {clause.kind}")
-    return claims
-
-
 def verify_theorem(
     rec: TheoremRecord,
     minimum_points: int = 100,
@@ -387,7 +338,13 @@ def verify_theorem(
     family_reports: list = []
     points_checked = 0
     witness = None
-    for group, einstein, families in _claims(rec):
+    for claim in rec.claims:
+        group, einstein, families = claim.group, claim.einstein, claim.families
+        if einstein and families is not None:
+            # An Einstein family is a soliton family with mu1 = mu2 = mu3 = 0.
+            families = [replace(fam, label=f"{group}.{fam.label}",
+                                printed_label=f"{group}.{fam.printed_label}",
+                                bindings=_EINSTEIN_ZERO + fam.bindings) for fam in families]
         for eta in pipeline.eta_signs(group):
             system = pipeline.stage(group, rec.distribution, rec.perturbed, eta).system
             if families is not None:

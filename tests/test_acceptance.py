@@ -42,13 +42,13 @@ def _fixture_reports(summary, kinds):
 
 def _assert_match_or_audited(reports, errata_ids, criterion, label):
     for rep in reports:
-        if rep.fixture_id in errata_ids:
+        if rep.id in errata_ids:
             assert rep.status == verify.KNOWN_DISCREPANCY, (
-                f"{rep.fixture_id}: audited discrepancy did not reproduce exactly"
+                f"{rep.id}: audited discrepancy did not reproduce exactly"
             )
         else:
             assert rep.status == verify.MATCH, (
-                f"{rep.fixture_id}: {[(d.key, d.expected, d.computed) for d in rep.diffs]}"
+                f"{rep.id}: {[(d.key, d.expected, d.computed) for d in rep.mismatches]}"
             )
     known = sum(1 for rep in reports if rep.status == verify.KNOWN_DISCREPANCY)
     print(
@@ -96,7 +96,7 @@ def _family_stats(summary):
         if rep.kind not in ("families", "einstein"):
             continue
         for fam in rep.families:
-            key = (rep.theorem_id, fam.printed_label)
+            key = (rep.id, fam.family)
             if fam.status == verify.CONFIRMED:
                 confirmed.add(key)
             else:
@@ -110,16 +110,16 @@ def test_criterion_5_positive_theorems_verified(summary):
     for rep in summary.theorem_reports:
         if rep.kind not in ("families", "einstein"):
             continue
-        assert rep.status in (verify.CONFIRMED, verify.DISCREPANCY), rep.theorem_id
+        assert rep.status in (verify.CONFIRMED, verify.DISCREPANCY), rep.id
         for fam in rep.families:
             if fam.status == verify.CONFIRMED:
-                assert fam.spot_checks >= 25, (rep.theorem_id, fam.label)
+                assert fam.spot_checks >= 25, (rep.id, fam.branch)
             else:
                 # a non-confirmed family must carry a machine-checked nonzero
                 # residual, and a recorded corrected statement must verify
-                assert fam.residual, (rep.theorem_id, fam.label)
+                assert fam.residual, (rep.id, fam.branch)
                 assert fam.completion_status in (None, verify.CONFIRMED)
-                problems.append((rep.theorem_id, fam.label))
+                problems.append((rep.id, fam.branch))
     confirmed, discrepant = _family_stats(summary)
     total = len(confirmed) + len(discrepant)
     print(
@@ -151,12 +151,12 @@ def test_criterion_5_confirmed_fraction_target(summary):
 
 def test_criterion_6_negative_theorems(summary):
     negatives = [rep for rep in summary.theorem_reports if rep.kind == "not_soliton"]
-    assert {rep.theorem_id for rep in negatives} == {
+    assert {rep.id for rep in negatives} == {
         "2.5", "2.8", "2.12", "4.2", "4.3", "4.5", "5.4", "5.8", "5.13", "6.2"
     }
     for rep in negatives:
-        assert rep.status == verify.CONFIRMED, (rep.theorem_id, rep.witness)
-        assert rep.points_checked >= 100, rep.theorem_id
+        assert rep.status == verify.CONFIRMED, (rep.id, rep.witness)
+        assert rep.points_checked >= 100, rep.id
     total = sum(rep.points_checked for rep in negatives)
     print(
         f"ACCEPTANCE criterion 6 (non-existence claims): PASS — 10 claims, "

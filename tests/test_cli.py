@@ -12,6 +12,9 @@ from bottsol.pipeline import all_configurations, stage
 
 # sha256 of `bottsol verify-all --format structured --seed 177147`.
 REPORT_DIGEST = "ad98388ae167c071a3872bcc8f97ddb8085863d09bd2458b71b8f5c02d3ccc86"
+# sha256 of the text output of `bottsol verify-all` and of `bottsol verify-theorem`.
+REPORT_TEXT_DIGEST = "c328c3f058041d4da26e98597c3eca354e6f5396744dd276d71d9e2490a36ceb"
+THEOREM_TEXT_DIGEST = "1a815b0f32ada119776de402c4b84e59182f69b405c7a20a8ddf77d8bdc8c021"
 # sha256 of `bottsol verify-theorem --id C3.5 --id 2.5 --id 5.16 --format structured`:
 # both Einstein clause kinds, a no-soliton claim, and families with a discrepancy.
 THEOREM_PATH_DIGEST = "67a955d7bb0f91203c4a242a8331cd7fc93d140206fce1de9d24e52703c1a550"
@@ -142,6 +145,27 @@ class TestVerifyCommands:
         code, out, _ = run(capsys, "verify-all", "--format", "structured", "--seed", "177147")
         assert code == 2
         assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGEST
+
+    @pytest.mark.parametrize("command, expected", [
+        ("verify-all", REPORT_TEXT_DIGEST),
+        ("verify-theorem", THEOREM_TEXT_DIGEST),
+    ])
+    def test_text_report_is_unchanged(self, capsys, command, expected):
+        code, out, _ = run(capsys, command)
+        assert code == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+    def test_timing_adds_elapsed_ms_to_fixtures_and_theorems_only(self, capsys):
+        args = ("verify-all", "--format", "structured", "--samples", "3", "--spot-samples", "1")
+        _, plain, _ = run(capsys, *args)
+        _, timed, _ = run(capsys, *args, "--timing")
+        plain, timed = json.loads(plain), json.loads(timed)
+        for section in ("fixtures", "theorems"):
+            for entry in timed[section]:
+                assert isinstance(entry.pop("elapsed_ms"), float)
+                for family in entry.get("families", ()):
+                    assert "elapsed_ms" not in family
+        assert timed == plain
 
     @pytest.mark.parametrize("options, expected", [
         ((), FIXTURE_TEXT_DIGEST),

@@ -27,7 +27,7 @@ def test_spot_check_attempts_reach_the_counted_hook():
 
     rec = next(r for r in registry.load_theorems() if r.id == "3.4")
     system = pipeline.stage(rec.group, rec.distribution, rec.perturbed).system
-    family = verify._family_from_record(rec.families[0], None, completed=False)
+    family = verify._family_from_record(rec.claims[0].families[0], None, completed=False)
     assert soliton.check_family(system, family).satisfied
     calls = []
 

@@ -59,6 +59,22 @@ class TestSubstitute:
         r = P("alpha + mu").substitute({"mu": 0})
         assert r == RatFun.coerce(P("alpha"))
 
+    def test_unbound_parameters_stay_polynomial(self, monkeypatch):
+        """Each term's unbound part is kept as one polynomial term: only the
+        sum of the three terms goes through RatFun.make."""
+        calls = []
+        make = RatFun.make
+
+        def counted(num, den):
+            calls.append(1)
+            return make(num, den)
+
+        monkeypatch.setattr(RatFun, "make", staticmethod(counted))
+        p = P("alpha^4*beta^3*gamma*mu1 + delta^2*mu1 - 3")
+        r = p.substitute({})
+        assert r.den == Poly.const(1) and r.num == p
+        assert len(calls) == 3
+
 
 class TestEval:
     def test_simple(self):

@@ -1,7 +1,7 @@
 import pytest
 
 from bottsol import registry
-from bottsol.registry import ClauseRecord, Fixture, FamilyRecord, TheoremRecord
+from bottsol.registry import Claim, Fixture, FamilyRecord, TheoremRecord
 from bottsol.verify import (
     CONFIRMED,
     DISCREPANCY,
@@ -45,7 +45,7 @@ class TestVerifyFixture:
         mutated = Fixture(good.id, good.kind, good.group, good.distribution, good.perturbed, rows)
         report = verify_fixture(mutated)
         assert report.status == MISMATCH
-        (diff,) = report.diffs
+        (diff,) = report.mismatches
         assert diff.key == "3,1"
         assert diff.expected == "-alpha*e1 - beta*e2"
         assert diff.computed == "alpha*e1 + beta*e2"
@@ -53,7 +53,7 @@ class TestVerifyFixture:
     def test_known_discrepancy_classification(self, fixtures, errata):
         report = verify_fixture(fixtures["3.22"], errata)
         assert report.status == KNOWN_DISCREPANCY
-        assert {d.key for d in report.diffs} == {"1,3", "3,1"}
+        assert {d.key for d in report.mismatches} == {"1,3", "3,1"}
 
     def test_unlisted_mismatch_stays_mismatch(self, fixtures):
         # Without the errata registry the same fixture is a plain mismatch.
@@ -63,7 +63,7 @@ class TestVerifyFixture:
         a = verify_fixture(fixtures["5.43"], errata)
         b = verify_fixture(fixtures["5.43"], errata)
         assert a.status == b.status == MATCH
-        assert a.diffs == b.diffs
+        assert a.mismatches == b.mismatches
 
 
 class TestVerifyTheorem:
@@ -80,7 +80,8 @@ class TestVerifyTheorem:
 
     def test_false_nonexistence_claim_is_refuted(self):
         fake = TheoremRecord(
-            id="fake", group="G5", distribution="D", perturbed=False, kind="not_soliton"
+            id="fake", group="G5", distribution="D", perturbed=False, kind="not_soliton",
+            claims=(Claim("G5", False, None),),
         )
         report = verify_theorem(fake, minimum_points=30)
         assert report.status == REFUTED
@@ -93,7 +94,7 @@ class TestVerifyTheorem:
             distribution="D",
             perturbed=False,
             kind="families",
-            families=(
+            claims=(Claim("G1", False, (
                 FamilyRecord(
                     label="1",
                     printed_label="1",
@@ -101,19 +102,41 @@ class TestVerifyTheorem:
                     side_equal=(),
                     side_nonzero=(),
                 ),
-            ),
+            )),),
         )
         report = verify_theorem(fake)
         assert report.status == DISCREPANCY
         (family,) = report.families
         assert family.residual is not None and family.residual != "0"
 
+    def test_self_contradicting_completion_is_refuted(self):
+        # The completion binds alpha = 0 and requires alpha != 0 at once.
+        fake = TheoremRecord(
+            id="fake3", group="G1", distribution="D", perturbed=False, kind="families",
+            claims=(Claim("G1", False, (
+                FamilyRecord(
+                    label="1",
+                    printed_label="1",
+                    bindings=(("mu", "0"), ("mu1", "0"), ("mu2", "0"), ("mu3", "0")),
+                    side_equal=(),
+                    side_nonzero=(),
+                    completion_bindings=(("alpha", "0"),),
+                    completion_nonzero=("alpha",),
+                ),
+            )),),
+        )
+        report = verify_theorem(fake)
+        assert report.status == REFUTED
+        (family,) = report.families
+        assert family.status == DISCREPANCY
+        assert family.completion_status == REFUTED
+
     def test_open_question_family_records_residual(self, theorems):
         # The distribution-D1 family stated with gamma = beta*(beta^2 -
         # beta*delta)/delta is checked literally and recorded as violated.
         report = verify_theorem(theorems["5.16"])
         assert report.status == DISCREPANCY
-        by_label = {f.label: f for f in report.families}
+        by_label = {f.branch: f for f in report.families}
         assert by_label["1"].status == CONFIRMED
         assert by_label["2"].status == CONFIRMED
         assert by_label["3"].status == DISCREPANCY
@@ -129,7 +152,7 @@ class TestVerifyTheorem:
         # G3 on D has Einstein solitons (C3.5), so a clause denying them fails.
         fake = TheoremRecord(
             id="fakeE", group=None, distribution="D", perturbed=False, kind="einstein",
-            clauses=(ClauseRecord("G3", "not_einstein"),),
+            claims=(Claim("G3", True, None),),
         )
         report = verify_theorem(fake, minimum_points=30)
         assert report.status == REFUTED
@@ -220,7 +243,7 @@ class TestRegistryCompleteness:
         produced = set()
         for fix in fixtures.values():
             report = verify_fixture(fix, errata)
-            assert report.status != MISMATCH, (fix.id, report.diffs)
-            for d in report.diffs:
+            assert report.status != MISMATCH, (fix.id, report.mismatches)
+            for d in report.mismatches:
                 produced.add((fix.id, d.key, d.expected, d.computed))
         assert produced == errata

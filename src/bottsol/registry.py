@@ -214,7 +214,7 @@ class FamilyRecord:
 _THM_HEADER = re.compile(r"^\[(theorem|corollary)\s+(\S+)\s+(.*?)\]$")
 
 
-def _parse_kv(kv_text: str) -> dict:
+def _parse_kv(kv_text: str, lineno: int) -> dict:
     out = {}
     for tok in kv_text.split():
         if tok == "perturbed":
@@ -223,8 +223,17 @@ def _parse_kv(kv_text: str) -> dict:
             k, v = tok.split("=", 1)
             out[k] = v
         else:
-            raise RegistryError(f"bad token {tok!r} in theorem header")
+            raise RegistryError(f"theorems line {lineno}: bad token {tok!r} in theorem header")
     return out
+
+
+def _named(key: str, value, known, lineno: int):
+    """`value` when it is one of `known`; else the RegistryError for line `lineno`."""
+    if value is None:
+        raise RegistryError(f"theorems line {lineno}: header has no {key}=")
+    if value not in known:
+        raise RegistryError(f"theorems line {lineno}: unknown {key} {value!r}")
+    return value
 
 
 # (directive, is_completion) -> the FamilyRecord field its lines fill.
@@ -253,11 +262,14 @@ def load_theorems() -> list:
     for lineno, line in content_lines(_data_text("theorems.tab")):
         m = _THM_HEADER.match(line)
         if m:
-            kv = _parse_kv(m.group(3))
+            kv = _parse_kv(m.group(3), lineno)
             kind, group = kv.get("kind"), kv.get("group")
             if kind not in ("not_soliton", "families", "einstein"):
                 raise RegistryError(f"theorems line {lineno}: unknown theorem kind {kind!r}")
-            records.append(TheoremRecord(m.group(2), group, kv.get("dist"),
+            if m.group(1) == "theorem":
+                _named("group", group, GROUPS, lineno)
+            dist = _named("dist", kv.get("dist"), DISTRIBUTIONS, lineno)
+            records.append(TheoremRecord(m.group(2), group, dist,
                                          kv.get("perturbed", False), kind, []))
             claim = family = None
             if kind != "einstein":
@@ -274,7 +286,8 @@ def load_theorems() -> list:
                 raise RegistryError(f"theorems line {lineno}: clause outside a corollary")
             if m.group(2) not in ("einstein", "not_einstein"):
                 raise RegistryError(f"theorems line {lineno}: unknown clause kind {m.group(2)!r}")
-            claim = Claim(m.group(1), True, [] if m.group(2) == "einstein" else None)
+            group = _named("group", m.group(1), GROUPS, lineno)
+            claim = Claim(group, True, [] if m.group(2) == "einstein" else None)
             records[-1].claims.append(claim)
             family = None
             continue

@@ -72,7 +72,9 @@ def _grlex_key(exp: Exponent):
 class Poly:
     """Immutable sparse polynomial over PARAMS with Fraction coefficients."""
 
-    __slots__ = ("terms",)
+    # _factors: the terms as (numerator, denominator, ((name, k), ...)) for
+    # eval_at, built on its first call; nothing else reads it.
+    __slots__ = ("terms", "_factors")
 
     def __init__(self, terms: Mapping[Exponent, Fraction] | None = None):
         self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
@@ -308,15 +310,20 @@ class Poly:
 
     def eval_at(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact value at a fully rational point, summed over integers."""
+        try:
+            factors = self._factors
+        except AttributeError:
+            factors = self._factors = tuple(
+                (c.numerator, c.denominator, tuple((PARAMS[i], k) for i, k in enumerate(e) if k))
+                for e, c in self.terms.items()
+            )
         num, den = 0, 1
         try:
-            for e, c in self.terms.items():
-                tn, td = c.numerator, c.denominator
-                for i, k in enumerate(e):
-                    if k:
-                        value = point[PARAMS[i]]
-                        tn *= value.numerator ** k
-                        td *= value.denominator ** k
+            for tn, td, powers in factors:
+                for name, k in powers:
+                    value = point[name]
+                    tn *= value.numerator ** k
+                    td *= value.denominator ** k
                 if td == den:
                     num += tn
                 else:

@@ -73,7 +73,14 @@ class SolitonSystem:
     @cached_property
     def integer_rows(self) -> "IntegerRows":
         """The equations as rows [mu1, mu2, mu3, mu, const], compiled once."""
-        return IntegerRows.compile(self)
+        assert_affine_linear(self)
+        return IntegerRows.of([[eq.coefficient_of(u) for u in UNKNOWNS] + [eq.drop(UNKNOWNS)]
+                               for eq in self.equations])
+
+    @cached_property
+    def constraint_rows(self) -> "IntegerRows":
+        """One row: the equality constraints, then the nonzero ones, compiled once."""
+        return IntegerRows.of([self.equality_constraints + self.nonzero_constraints])
 
 
 def build_system(
@@ -215,25 +222,38 @@ def check_point_admissible(system: SolitonSystem, point: Mapping[str, Fraction])
     missing = [p for p in system.parameters if p not in point]
     if missing:
         raise ConstraintViolated(f"point binds no value for parameters {missing}")
-    for c in system.equality_constraints:
-        if c.eval_at(point) != 0:
+    # Each value is its constraint's value times a positive constant.
+    (values,) = system.constraint_rows.at(point)
+    equal = system.equality_constraints
+    for c, value in zip(equal, values):
+        if value:
             raise ConstraintViolated(f"equality constraint {c} fails at {dict(point)}")
-    for c in system.nonzero_constraints:
-        if c.eval_at(point) == 0:
+    for c, value in zip(system.nonzero_constraints, values[len(equal):]):
+        if not value:
             raise ConstraintViolated(f"nonzero constraint {c} fails at {dict(point)}")
-    if system.perturbed and Fraction(point["a0"]) == 0:
+    if system.perturbed and point["a0"] == 0:
         raise ConstraintViolated("a0 must be nonzero for perturbed connections")
+
+
+# Longest sum written as one expression: Python's compiler recurses once per
+# operator, and a few thousand terms exhaust its recursion limit.
+_TERMS_PER_SUM = 256
+
+
+def _powers(base: str, k: int) -> list:
+    return [] if k == 0 else [base] if k == 1 else [f"{base}**{k}"]
 
 
 @dataclass(frozen=True)
 class IntegerRows:
-    """A system's coefficient rows with integer coefficients on parameter monomials.
+    """Rows of polynomials with integer coefficients on parameter monomials.
 
-    Each equation is one row of five columns: the coefficients of mu1, mu2,
-    mu3 and mu and the constant term.  A row's denominators are cleared, so a
-    column is a tuple of (monomial index, integer coefficient) pairs over the
-    exponent vectors in `monomials` (one exponent per name in `names`).
-    `top` holds each name's largest exponent in any row.
+    A system's rows hold one entry per column, for instance the coefficients
+    of mu1, mu2, mu3 and mu and the constant term of each equation.  A row's
+    denominators are cleared, so a column is a tuple of (monomial index,
+    integer coefficient) pairs over the exponent vectors in `monomials` (one
+    exponent per name in `names`).  `top` holds each name's largest exponent
+    in any row.
     """
 
     names: tuple
@@ -242,17 +262,16 @@ class IntegerRows:
     rows: tuple
 
     @staticmethod
-    def compile(system: SolitonSystem) -> "IntegerRows":
-        assert_affine_linear(system)
-        columns = [[eq.coefficient_of(u) for u in UNKNOWNS] + [eq.drop(UNKNOWNS)]
-                   for eq in system.equations]
+    def of(rows: Sequence[Sequence[Poly]]) -> "IntegerRows":
+        """Compile rows of Poly columns; each row is scaled by the lcm of its
+        coefficients' denominators, which keeps its solutions and zeros."""
         used = [i for i in range(len(PARAMS))
-                if any(e[i] for cols in columns for col in cols for e in col.terms)]
+                if any(e[i] for cols in rows for col in cols for e in col.terms)]
         index: dict = {}  # exponents of the used names -> monomial index
-        rows = []
-        for cols in columns:
+        compiled = []
+        for cols in rows:
             scale = lcm(*(c.denominator for col in cols for c in col.terms.values()))
-            rows.append(tuple(
+            compiled.append(tuple(
                 tuple((index.setdefault(tuple(e[i] for i in used), len(index)),
                        c.numerator * (scale // c.denominator))
                       for e, c in col.terms.items())
@@ -263,43 +282,71 @@ class IntegerRows:
             names=tuple(PARAMS[i] for i in used),
             top=tuple(max(m[n] for m in monomials) for n in range(len(used))),
             monomials=monomials,
-            rows=tuple(rows),
+            rows=tuple(compiled),
         )
+
+    @cached_property
+    def _evaluate(self):
+        """`at` as straight-line code, generated on first use: one local per
+        n_i and d_i, one statement per monomial, one sum per entry.  The
+        source holds only the names, which `of` takes from PARAMS, and
+        index-derived locals; the integer coefficients are bound through a
+        tuple, never written into it."""
+        coefficients = []
+        body = [f"v = point[{name!r}]; n{i} = v.numerator; d{i} = v.denominator"
+                for i, name in enumerate(self.names)]
+        for m, exps in enumerate(self.monomials):
+            factors = []
+            for i, (top, k) in enumerate(zip(self.top, exps)):
+                factors += _powers(f"n{i}", k) + _powers(f"d{i}", top - k)
+            body.append(f"m{m} = {' * '.join(factors) or '1'}")
+        result = []
+        for r, row in enumerate(self.rows):
+            entries = []
+            for c, col in enumerate(row):
+                terms = []
+                for m, coefficient in col:
+                    terms.append(f"k{len(coefficients)} * m{m}")
+                    coefficients.append(coefficient)
+                sums = [" + ".join(terms[start:start + _TERMS_PER_SUM])
+                        for start in range(0, len(terms), _TERMS_PER_SUM)] or ["0"]
+                if len(sums) > 1:  # a long entry adds up its sums in a local
+                    body.append(f"e{r}_{c} = {sums[0]}")
+                    body += [f"e{r}_{c} += {chunk}" for chunk in sums[1:]]
+                    sums = [f"e{r}_{c}"]
+                entries.append(sums[0])
+            result.append(f"[{', '.join(entries)}]")
+        body.append(f"return [{', '.join(result)}]")
+        lines = ["def bind(k):"]
+        if coefficients:
+            lines.append("    " + "".join(f"k{j}, " for j in range(len(coefficients))) + "= k")
+        lines.append("    def evaluate(point):")
+        lines += [f"        {line}" for line in body]
+        lines.append("    return evaluate")
+        namespace: dict = {}
+        exec(compile("\n".join(lines), "<IntegerRows.at>", "exec"), namespace)
+        return namespace["bind"](tuple(coefficients))
 
     def at(self, point: Mapping[str, Fraction]) -> list:
         """Integer rows at a rational point: the rows at `point` times prod_i d_i^top_i,
         with a monomial valued prod_i n_i^e_i d_i^(top_i - e_i) for value n_i/d_i."""
         try:
-            values = [point[name] for name in self.names]
+            return self._evaluate(point)
         except KeyError:
             raise UnboundParameter(
                 f"no value for {sorted(n for n in self.names if n not in point)}"
             ) from None
-        monomial_values = []
-        for exps in self.monomials:
-            v = 1
-            for value, top, k in zip(values, self.top, exps):
-                v *= value.numerator ** k * value.denominator ** (top - k)
-            monomial_values.append(v)
-        rows = []
-        for row in self.rows:
-            entries = []
-            for col in row:
-                entry = 0
-                for m, c in col:
-                    entry += c * monomial_values[m]
-                entries.append(entry)
-            rows.append(entries)
-        return rows
 
 
 def _solve_integer_rows(m: list, n_unknowns: int) -> PointVerdict:
     """Fraction-free (Bareiss) elimination of integer rows to echelon form, in place.
 
     Every entry it produces is a minor of the input, so each division by the
-    previous pivot is exact.  The witness sets the free unknowns to 0 and
-    back-substitutes in Fractions, which gives the same witness as reduced
-    row echelon form.
+    previous pivot is exact.  The witness sets the free unknowns to 0, which
+    gives the same witness as reduced row echelon form.  The last pivot is
+    the determinant of the pivot rows and columns, so by Cramer's rule it
+    times each pivot unknown is an integer: back-substitution runs on those
+    integers, and each pivot unknown takes one Fraction at the end.
     """
     pivots = []
     previous = 1
@@ -328,12 +375,19 @@ def _solve_integer_rows(m: list, n_unknowns: int) -> PointVerdict:
             raise AssertionError("elimination left a stray nonzero row")
         if row[n_unknowns]:
             return PointVerdict(False)
-    witness = [Fraction(0)] * n_unknowns
+    scaled = [0] * n_unknowns  # previous times each unknown
     for row_idx in reversed(range(r)):
         row = m[row_idx]
-        col = pivots[row_idx]
-        rest = row[n_unknowns] + sum(row[j] * witness[j] for j in pivots[row_idx + 1:])
-        witness[col] = Fraction(-rest, row[col])
+        rest = row[n_unknowns] * previous
+        for j in pivots[row_idx + 1:]:
+            rest += row[j] * scaled[j]
+        v, rem = divmod(-rest, row[pivots[row_idx]])
+        if rem:
+            raise AssertionError("inexact Cramer back-substitution")
+        scaled[pivots[row_idx]] = v
+    witness = [Fraction(0)] * n_unknowns
+    for col in pivots:
+        witness[col] = Fraction(scaled[col], previous)
     return PointVerdict(True, dict(zip(UNKNOWNS, witness)), n_unknowns - len(pivots))
 
 

@@ -3,14 +3,16 @@
 `reference_solve` is Gauss-Jordan elimination to reduced row echelon form
 over Fractions; `solve_affine` feeds rational rows to the program's
 fraction-free integer solver, so the two can be compared on any input.
+`reference_at` evaluates compiled integer rows by a plain loop, against
+which the program's generated evaluator is compared.
 """
 
 from fractions import Fraction
 from math import lcm
 
 from bottsol.algebra import METRIC_SIGNS, Vec3, bilinear
-from bottsol.scalar import Poly
-from bottsol.soliton import UNKNOWNS, PointVerdict, _solve_integer_rows
+from bottsol.scalar import Poly, UnboundParameter
+from bottsol.soliton import UNKNOWNS, IntegerRows, PointVerdict, _solve_integer_rows
 
 
 def metric_pair(x: Vec3, y: Vec3) -> Poly:
@@ -67,3 +69,29 @@ def reference_solve(rows: list, n_unknowns: int) -> PointVerdict:
     for row_idx, col in enumerate(pivots):
         witness[col] = -m[row_idx][n_unknowns]
     return PointVerdict(True, dict(zip(UNKNOWNS, witness)), n_unknowns - len(pivots))
+
+
+def reference_at(rows: IntegerRows, point) -> list:
+    """`IntegerRows.at` as a loop over monomials, columns and terms."""
+    try:
+        values = [point[name] for name in rows.names]
+    except KeyError:
+        raise UnboundParameter(
+            f"no value for {sorted(n for n in rows.names if n not in point)}"
+        ) from None
+    monomial_values = []
+    for exps in rows.monomials:
+        v = 1
+        for value, top, k in zip(values, rows.top, exps):
+            v *= value.numerator ** k * value.denominator ** (top - k)
+        monomial_values.append(v)
+    out = []
+    for row in rows.rows:
+        entries = []
+        for col in row:
+            entry = 0
+            for m, c in col:
+                entry += c * monomial_values[m]
+            entries.append(entry)
+        out.append(entries)
+    return out

@@ -11,7 +11,15 @@ HEADER = "[theorem 9.1 group=G1 dist=D kind=families]\n"
 
 @pytest.mark.parametrize("text, message", [
     ("family 1:\n", "theorems line 1: content before first block"),
-    ("[theorem 9.1 group=G1 dist=D oops]\n", "bad token 'oops' in theorem header"),
+    ("[theorem 9.1 group=G1 dist=D oops]\n", "theorems line 1: bad token 'oops' in theorem header"),
+    ("[theorem 9.1 dist=D kind=not_soliton]\n", "theorems line 1: header has no group="),
+    ("[theorem 9.1 group=G9 dist=D kind=not_soliton]\n", "theorems line 1: unknown group 'G9'"),
+    ("[theorem 9.1 group=G1 kind=not_soliton]\n", "theorems line 1: header has no dist="),
+    ("[theorem 9.1 group=G1 dist=D3 kind=not_soliton]\n", "theorems line 1: unknown dist 'D3'"),
+    ("[corollary C9.2 kind=einstein]\n", "theorems line 1: header has no dist="),
+    ("[corollary C9.2 dist=d kind=einstein]\n", "theorems line 1: unknown dist 'd'"),
+    ("[corollary C9.2 dist=D kind=einstein]\nclause G8 einstein:\n",
+     "theorems line 2: unknown group 'G8'"),
     (HEADER + "clause G1:\n", "theorems line 2: bad clause header"),
     (HEADER + "family 1 2:\n", "theorems line 2: bad family header"),
     (HEADER + "bind mu = 0\n", "theorems line 2: directive outside a family"),

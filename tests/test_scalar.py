@@ -92,6 +92,11 @@ class TestEval:
     def test_unbound(self):
         with pytest.raises(UnboundParameter):
             P("alpha + beta").eval_at({"alpha": Fraction(1)})
+        # The same message once eval_at has cached the term list.
+        p = P("alpha*beta + gamma")
+        assert p.eval_at({"alpha": Fraction(1), "beta": Fraction(2), "gamma": Fraction(3)}) == 5
+        with pytest.raises(UnboundParameter, match=r"^no value for \['beta', 'gamma'\]$"):
+            p.eval_at({"alpha": Fraction(1)})
 
 
 class TestRatFun:
@@ -211,6 +216,23 @@ def test_hash_agrees_with_equality(a, b, c, k):
     assert hash(Poly.const(k.numerator)) == hash(k.numerator)
     with pytest.raises(TypeError):
         hash(RatFun.coerce(a))
+
+
+@given(polys(), polys(), _coeffs, _coeffs, _coeffs, _coeffs)
+@settings(max_examples=60, deadline=None)
+def test_evaluated_poly_keeps_its_contract(p, q, a, b, c, m):
+    """eval_at caches a term list on the polynomial: the value still equals
+    and hashes like a fresh copy, and values derived from it afterwards
+    evaluate to what arithmetic on the values gives."""
+    point = {"alpha": a, "beta": b, "gamma": c, "mu1": m}
+    value = p.eval_at(point)
+    fresh = Poly(dict(p.terms))
+    assert p == fresh and hash(p) == hash(fresh)
+    assert p.eval_at(point) == fresh.eval_at(point) == value
+    assert (p + 1).eval_at(point) == value + 1
+    assert (-p).eval_at(point) == -value
+    assert p.scaled(3).eval_at(point) == 3 * value
+    assert (p * q).eval_at(point) == value * q.eval_at(point)
 
 
 def test_equal_ratfuns_are_unhashable():

@@ -1,6 +1,6 @@
 import pytest
 
-from bottsol import registry
+from bottsol import pipeline, registry
 from bottsol.registry import Claim, Fixture, FamilyRecord, TheoremRecord
 from bottsol.verify import (
     CONFIRMED,
@@ -247,3 +247,17 @@ class TestRegistryCompleteness:
             for d in report.mismatches:
                 produced.add((fix.id, d.key, d.expected, d.computed))
         assert produced == errata
+
+
+def test_fixture_checks_compile_no_point_evaluator():
+    """Fixture checks decide no sample point, so a cold pass over all 196
+    fixtures compiles neither the equation nor the constraint rows of any
+    stage's system: both are built on first use only."""
+    pipeline.stage.cache_clear()
+    fixtures = registry.load_fixtures()
+    assert len(fixtures) == 196
+    for fix in fixtures:
+        verify_fixture(fix)
+    for cfg in pipeline.all_configurations():
+        cached = vars(pipeline.stage(*cfg).system)
+        assert "integer_rows" not in cached and "constraint_rows" not in cached

@@ -193,7 +193,9 @@ def custom_spec(
     nonzero_constraints: Sequence[Poly] = (),
     label: str = "custom",
 ) -> LieAlgebraSpec:
+    """A spec over every parameter that its rows or its constraints name."""
     used = {name for vec in rows.values() for comp in vec.c for name in comp.params()}
+    used.update(name for c in (*equality_constraints, *nonzero_constraints) for name in c.params())
     return LieAlgebraSpec(
         label,
         _c_from_rows(dict(rows)),

@@ -8,6 +8,7 @@ standard output closed early, as by `| head`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -59,7 +60,10 @@ def _add_timing(p):
                    help="include wall-clock timings (breaks byte-identical reports)")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, as every `append` option starts from a None default."""
     parser = _Parser(prog="bottsol", description=__doc__)
     parser.add_argument("--version", action="version", version=f"bottsol {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

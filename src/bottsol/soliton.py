@@ -14,7 +14,7 @@ the normalization used by the reference tables.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -81,6 +81,23 @@ class SolitonSystem:
     def constraint_rows(self) -> "IntegerRows":
         """One row: the equality constraints, then the nonzero ones, compiled once."""
         return IntegerRows.of([self.equality_constraints + self.nonzero_constraints])
+
+    @cached_property
+    def equation_rows(self) -> "IntegerRows":
+        """One row: the equations over the parameters and the unknowns, compiled once."""
+        return IntegerRows.of([self.equations])
+
+    @cached_property
+    def einstein(self) -> "SolitonSystem":
+        """The system with mu1 = mu2 = mu3 = 0 added as equations, built once.
+        Its constraints are this system's, and so are their compiled rows."""
+        eqs = list(self.equations)
+        for name in ("mu1", "mu2", "mu3"):
+            if Poly.var(name) not in eqs:
+                eqs.append(Poly.var(name))
+        einstein = replace(self, equations=tuple(eqs))
+        vars(einstein)["constraint_rows"] = self.constraint_rows
+        return einstein
 
 
 def build_system(
@@ -391,9 +408,14 @@ def _solve_integer_rows(m: list, n_unknowns: int) -> PointVerdict:
     return PointVerdict(True, dict(zip(UNKNOWNS, witness)), n_unknowns - len(pivots))
 
 
+def solve_at_point(system: SolitonSystem, point: Mapping[str, Fraction]) -> PointVerdict:
+    """The verdict at a point that check_point_admissible has admitted."""
+    return _solve_integer_rows(system.integer_rows.at(point), len(UNKNOWNS))
+
+
 def decide_at_point(system: SolitonSystem, point: Mapping[str, Fraction]) -> PointVerdict:
     check_point_admissible(system, point)
-    return _solve_integer_rows(system.integer_rows.at(point), len(UNKNOWNS))
+    return solve_at_point(system, point)
 
 
 # --------------------------------------------------------------------------
@@ -416,6 +438,11 @@ GRID_VALUES = (
 )
 
 DEFAULT_SEED = 177147
+
+# RANDOM_VALUES[n + 9][d - 1] is Fraction(n, d).  `rng.choice(rng.choice(...))`
+# draws the same index pair as `rng.randint(-9, 9), rng.randint(1, 9)`, from
+# the same stream, without building a Fraction per draw.
+RANDOM_VALUES = tuple(tuple(Fraction(n, d) for d in range(1, 10)) for n in range(-9, 10))
 
 
 def _admissible(system: SolitonSystem, point: Mapping[str, Fraction]) -> bool:
@@ -451,7 +478,7 @@ def _solve_equalities(
     Mutates `point`; returns False when the attempt should be retried.
     """
     def rand() -> Fraction:
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return rng.choice(rng.choice(RANDOM_VALUES))
 
     for c in constraints:
         residual = c.partial_eval(point)

@@ -17,21 +17,24 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields, replace
+from fractions import Fraction
 
 from . import pipeline, registry
 from .registry import FamilyRecord, Fixture, TheoremRecord
-from .scalar import DenominatorZero, Poly, parse_poly, parse_ratfun
+from .scalar import parse_poly, parse_ratfun
 from .soliton import (
     DEFAULT_SEED,
     UNKNOWNS,
     ConstraintViolated,
     InconsistentFamily,
+    IntegerRows,
     SolitonSystem,
     SolutionFamily,
     check_family,
     decide_at_point,
     draw_points,
     sample_plan,
+    solve_at_point,
 )
 
 MATCH = "match"
@@ -216,6 +219,25 @@ def _family_from_record(rec: FamilyRecord, eta, completed: bool) -> SolutionFami
     )
 
 
+def _bound_values(binds: dict):
+    """The closed bindings compiled once into one row of [numerator,
+    denominator] pairs: a function that extends a point over the free names
+    by every bound value, or returns None where a denominator vanishes.  Row
+    scales and the evaluation's positive factor cancel in each ratio."""
+    names = tuple(binds)
+    rows = IntegerRows.of([[value.num, value.den] for value in binds.values()])
+
+    def extend(point: dict) -> dict | None:
+        full = dict(point)
+        for name, (num, den) in zip(names, rows.at(point)):
+            if not den:
+                return None
+            full[name] = Fraction(num, den)
+        return full
+
+    return extend
+
+
 def _spot_check_family(
     system: SolitonSystem,
     family: SolutionFamily,
@@ -226,9 +248,13 @@ def _spot_check_family(
     that keep the family's nonzero side conditions; each point must solve
     every equation exactly and decide_at_point must find it solvable.
     Returns the number of points checked; raises AssertionError on any
-    failure."""
+    failure.  The bindings, the nonzero side conditions and the equations
+    are each evaluated through rows compiled once, whose values are exact
+    multiples of the polynomials' values by a positive constant."""
     binds = family.closed_bindings()
     free_names = [n for n in list(system.parameters) + list(UNKNOWNS) if n not in binds]
+    extend = _bound_values(binds)
+    nonzero_rows = IntegerRows.of([family.side_nonzero])
 
     reduced_eqs = []
     for poly in list(system.equality_constraints) + list(family.side_equal):
@@ -238,21 +264,21 @@ def _spot_check_family(
 
     done = 0
     for point in draw_points(reduced_eqs, free_names, seed, count * 500):
+        full = extend(point)
+        if full is None:
+            continue
+        group_point = {k: v for k, v in full.items() if k not in UNKNOWNS}
         try:
-            full = dict(point)
-            for name, val in binds.items():
-                full[name] = val.eval_at(point)
-            group_point = {k: v for k, v in full.items() if k not in UNKNOWNS}
             verdict = decide_at_point(system, group_point)
-        except (DenominatorZero, ConstraintViolated):
+        except ConstraintViolated:
             continue
-        if any(p.eval_at(full) == 0 for p in family.side_nonzero):
+        if not all(nonzero_rows.at(full)[0]):
             continue
-        for eq in system.equations:
-            value = eq.eval_at(full)
-            if value != 0:
+        (values,) = system.equation_rows.at(full)
+        for eq, value in zip(system.equations, values):
+            if value:
                 raise AssertionError(
-                    f"family {family.label}: equation {eq} = {value} != 0 at {full}"
+                    f"family {family.label}: equation {eq} = {eq.eval_at(full)} != 0 at {full}"
                 )
         if not verdict.solvable:
             raise AssertionError(
@@ -305,21 +331,13 @@ def _verify_family(
 
 
 def _witness(system: SolitonSystem, points: list) -> str | None:
-    """The first sample point at which the system has a solution, described."""
+    """The first sample point at which the system has a solution, described.
+    sample_plan admitted every point, so each is only solved."""
     for point in points:
-        verdict = decide_at_point(system, point)
+        verdict = solve_at_point(system, point)
         if verdict.solvable:
             return f"point {point} admits {verdict}"
     return None
-
-
-def _einstein_system(system: SolitonSystem) -> SolitonSystem:
-    extra = tuple(Poly.var(name) for name in ("mu1", "mu2", "mu3"))
-    eqs = list(system.equations)
-    for p in extra:
-        if p not in eqs:
-            eqs.append(p)
-    return replace(system, equations=tuple(eqs))
 
 
 _EINSTEIN_ZERO = (("mu1", "0"), ("mu2", "0"), ("mu3", "0"))
@@ -354,7 +372,7 @@ def verify_theorem(
                     points_checked += report.spot_checks
                 continue
             if einstein:
-                system = _einstein_system(system)
+                system = system.einstein
             points = sample_plan(system, minimum=minimum_points, seed=seed)
             points_checked += len(points)
             found = _witness(system, points)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from bottsol.cli import EX_USAGE, main
+from bottsol.cli import EX_USAGE, build_parser, main
 from bottsol.pipeline import all_configurations, stage
 
 # sha256 of `bottsol verify-all --format structured --seed 177147`.
@@ -117,6 +117,15 @@ class TestVerifyCommands:
         assert all(f["elapsed_ms"] >= 0 for f in fixtures)
         code, text, _ = run(capsys, "verify-fixture", "--id", "2.11", "--timing")
         assert code == 0 and "elapsed_ms" not in text
+
+    def test_repeated_options_do_not_leak_between_calls(self, capsys):
+        """main reuses one parser; a second call's `--id` list holds only its own ids."""
+        args = ("verify-fixture", "--format", "structured", "--id")
+        code, out, _ = run(capsys, *args, "2.11")
+        assert code == 0 and [f["id"] for f in json.loads(out)["fixtures"]] == ["2.11"]
+        code, out, _ = run(capsys, *args, "3.22")
+        assert code == 2 and [f["id"] for f in json.loads(out)["fixtures"]] == ["3.22"]
+        assert build_parser() is build_parser()
 
     def test_verify_unknown_id(self, capsys):
         code, _, err = run(capsys, "verify-fixture", "--id", "99.99")

@@ -1,12 +1,14 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from bottsol.algebra import Vec3, custom_spec
 from bottsol.pipeline import all_configurations, build, stage
-from bottsol.scalar import parse_poly, parse_ratfun
+from bottsol.scalar import Poly, parse_poly, parse_ratfun
 from bottsol.soliton import (
+    RANDOM_VALUES,
     ConstraintViolated,
     InconsistentFamily,
     SolutionFamily,
@@ -221,6 +223,25 @@ class TestSampling:
             assert parse_poly("alpha*gamma - beta*delta").eval_at(point) == 0
             assert parse_poly("alpha + delta").eval_at(point) != 0
 
+    def test_table_draws_match_randint(self):
+        """A draw from RANDOM_VALUES consumes the stream as the two randint
+        calls it replaces do, so every point is the one they gave."""
+        table, ints = random.Random(177147), random.Random(177147)
+        for _ in range(5000):
+            value = table.choice(table.choice(RANDOM_VALUES))
+            assert value == Fraction(ints.randint(-9, 9), ints.randint(1, 9))
+        assert table.random() == ints.random()
+
+    def test_constraint_names_are_sampled(self):
+        """A parameter named only by a constraint is a parameter of the spec,
+        so sampling draws it and keeps the constraint."""
+        spec = custom_spec({(1, 2): Vec3.of(parse_poly("alpha"), Poly.zero(), Poly.zero()),
+                            (1, 3): Vec3.zero(), (2, 3): Vec3.zero()},
+                           nonzero_constraints=[parse_poly("beta")])
+        assert spec.parameters == ("alpha", "beta")
+        points = sample_plan(build(spec, "D").system, minimum=60, seed=5)
+        assert len(points) >= 60 and all(point["beta"] != 0 for point in points)
+
     def test_sample_plan_size(self):
         system = stage("G1", "D").system
         plan = sample_plan(system, minimum=100, seed=11)
@@ -235,13 +256,11 @@ SAMPLED_VERDICT_DIGEST = "4737ba36cace20ab9c36db6b2be38a9bc0fd2b7607c107e4b12b12
 
 
 def test_sampled_verdicts_are_unchanged():
-    from bottsol.verify import _einstein_system
-
     digest = hashlib.sha256()
     solvable = 0
     for cfg in all_configurations():
         base = stage(*cfg).system
-        for system in (base, _einstein_system(base)):
+        for system in (base, base.einstein):
             for point in random_points(system, 20, seed=177147):
                 verdict = decide_at_point(system, point)
                 solvable += verdict.solvable

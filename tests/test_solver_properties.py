@@ -18,7 +18,6 @@ from bottsol.algebra import Vec3, custom_spec
 from bottsol.pipeline import all_configurations, build, stage
 from bottsol.scalar import PARAMS, Poly, RatFun, UnboundParameter
 from bottsol.soliton import _TERMS_PER_SUM, UNKNOWNS, IntegerRows, decide_at_point
-from bottsol.verify import _einstein_system
 from helpers import reference_at, reference_solve, solve_affine
 
 SETTINGS = settings(max_examples=100, deadline=None)
@@ -83,7 +82,7 @@ def test_integer_rows_solve_like_rational_rows(cfg, values):
 
 
 SYSTEMS = [system for cfg in CONFIGURATIONS
-           for system in (stage(*cfg).system, _einstein_system(stage(*cfg).system))]
+           for system in (stage(*cfg).system, stage(*cfg).system.einstein)]
 
 
 @SETTINGS

@@ -1,14 +1,25 @@
+from dataclasses import replace
+from fractions import Fraction
+from functools import cached_property
+from itertools import islice
+
 import pytest
 
-from bottsol import pipeline, registry
+from bottsol import pipeline, registry, verify
 from bottsol.registry import Claim, Fixture, FamilyRecord, TheoremRecord
+from bottsol.scalar import DenominatorZero, parse_poly, parse_ratfun
+from bottsol.soliton import UNKNOWNS, InconsistentFamily, IntegerRows, SolutionFamily, draw_points
 from bottsol.verify import (
+    _EINSTEIN_ZERO,
     CONFIRMED,
     DISCREPANCY,
     KNOWN_DISCREPANCY,
     MATCH,
     MISMATCH,
     REFUTED,
+    _bound_values,
+    _family_from_record,
+    _spot_check_family,
     verify_fixture,
     verify_theorem,
 )
@@ -261,3 +272,151 @@ def test_fixture_checks_compile_no_point_evaluator():
     for cfg in pipeline.all_configurations():
         cached = vars(pipeline.stage(*cfg).system)
         assert "integer_rows" not in cached and "constraint_rows" not in cached
+
+
+# --------------------------------------------------------------------------
+# Spot checks through compiled evaluators
+# --------------------------------------------------------------------------
+
+
+def _claim_families():
+    """(system, family, closed bindings) for every family of every claim at
+    each G4 sign, as printed and, where a completion is recorded, completed."""
+    for rec in registry.load_theorems():
+        for claim in rec.claims:
+            for fam in claim.families or ():
+                if claim.einstein:
+                    fam = replace(fam, bindings=_EINSTEIN_ZERO + fam.bindings)
+                for eta in pipeline.eta_signs(claim.group):
+                    system = pipeline.stage(claim.group, rec.distribution, rec.perturbed, eta).system
+                    for completed in sorted({False, fam.has_completion()}):
+                        family = _family_from_record(fam, eta, completed)
+                        try:
+                            binds = family.closed_bindings()
+                        except InconsistentFamily:
+                            continue
+                        yield system, family, binds
+
+
+def _first_points(system, binds, count=20):
+    free = [n for n in list(system.parameters) + list(UNKNOWNS) if n not in binds]
+    return list(islice(draw_points([], free, 177147, count), count))
+
+
+def test_compiled_bindings_equal_ratfun_values():
+    """The one compiled row of [numerator, denominator] pairs gives every bound
+    value RatFun.eval_at gives, in binding order, and None exactly where
+    eval_at meets a zero denominator."""
+    families = vanished = 0
+    for system, _, binds in _claim_families():
+        families += 1
+        extend = _bound_values(binds)
+        for point in _first_points(system, binds):
+            try:
+                expected = dict(point)
+                for name, value in binds.items():
+                    expected[name] = value.eval_at(point)
+            except DenominatorZero:
+                expected = None
+                vanished += 1
+            full = extend(point)
+            assert full == expected
+            assert full is None or list(full) == list(expected)
+    assert families > 100 and vanished > 0
+
+
+def _assert_positive_multiple(values, polys, point):
+    """values[k] = c * polys[k](point) for one c > 0."""
+    exact = [p.eval_at(point) for p in polys]
+    assert [v == 0 for v in values] == [e == 0 for e in exact]
+    ratios = {Fraction(v) / e for v, e in zip(values, exact) if e}
+    assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+    return exact.count(0)
+
+
+def test_equation_and_side_rows_agree_with_eval_at():
+    """Each value of SolitonSystem.equation_rows and of a family's compiled
+    nonzero side conditions is the polynomial's value times one positive
+    constant, so every zero test agrees with Poly.eval_at, on the family
+    locus (where the equations vanish) and off it."""
+    zeros = 0
+    for system, family, binds in _claim_families():
+        extend = _bound_values(binds)
+        side = IntegerRows.of([family.side_nonzero])
+        for point in _first_points(system, binds):
+            full = extend(point)
+            if full is None:
+                continue
+            zeros += _assert_positive_multiple(system.equation_rows.at(full)[0], system.equations, full)
+            _assert_positive_multiple(side.at(full)[0], family.side_nonzero, full)
+            off = {**full, "mu": full["mu"] + 1}
+            _assert_positive_multiple(system.equation_rows.at(off)[0], system.equations, off)
+    assert zeros > 1000
+
+
+# Each message is the one the per-point RatFun.eval_at / Poly.eval_at route gave.
+WRONG_FAMILIES = [
+    ("6.5", 1, (("a0", "beta - eta"), ("mu3", "0"), ("mu2", "-(beta - eta)"),
+                ("mu1", "1 + 1/(beta - eta)^2"), ("mu", "(beta - eta)^2")), ("beta - eta",),
+     "family wrong: equation beta*mu1 - alpha - 2*mu1 = -53/12 != 0 at {'alpha': Fraction(2, 3), "
+     "'beta': Fraction(-1, 1), 'a0': Fraction(-2, 1), 'mu3': Fraction(0, 1), 'mu2': Fraction(2, 1), "
+     "'mu1': Fraction(5, 4), 'mu': Fraction(4, 1)}"),
+    ("6.3", None, (("mu3", "0"), ("mu1", "alpha*gamma/beta")), ("gamma",),
+     "family wrong: equation beta^2 + gamma^2 - mu = 19/8 != 0 at {'alpha': Fraction(2, 3), "
+     "'beta': Fraction(-1, 1), 'gamma': Fraction(3, 2), 'a0': Fraction(-1, 1), 'mu2': Fraction(7, 4), "
+     "'mu': Fraction(7, 8), 'mu3': Fraction(0, 1), 'mu1': Fraction(-1, 1)}"),
+]
+
+
+@pytest.mark.parametrize("theorem_id, eta, bindings, nonzero, message", WRONG_FAMILIES)
+def test_wrong_family_fails_the_spot_check(theorems, theorem_id, eta, bindings, nonzero, message):
+    rec = theorems[theorem_id]
+    system = pipeline.stage(rec.group, rec.distribution, rec.perturbed, eta).system
+    family = SolutionFamily(
+        "wrong",
+        tuple((name, parse_ratfun(expr, eta=eta)) for name, expr in bindings),
+        side_nonzero=tuple(parse_poly(expr, eta=eta) for expr in nonzero),
+    )
+    with pytest.raises(AssertionError) as exc:
+        _spot_check_family(system, family, 5, 177147)
+    assert str(exc.value) == message
+
+
+def test_one_theorem_pass_compiles_each_row_set_once(theorems, monkeypatch):
+    """Over one pass of the 45 records, evaluators are generated at most once
+    per row set of each distinct system (equations, constraints, equation
+    values; an Einstein system reuses its base's constraints) plus two per
+    spot-checked family (bound values and nonzero side conditions)."""
+    generated = []
+    evaluate = IntegerRows.__dict__["_evaluate"].func
+
+    def counted(rows):
+        generated.append(rows)
+        return evaluate(rows)
+
+    prop = cached_property(counted)
+    prop.__set_name__(IntegerRows, "_evaluate")
+    monkeypatch.setattr(IntegerRows, "_evaluate", prop)
+    spot_checks = []
+    spot_check = verify._spot_check_family
+
+    def counted_spot_check(*args):
+        spot_checks.append(args)
+        return spot_check(*args)
+
+    monkeypatch.setattr(verify, "_spot_check_family", counted_spot_check)
+    pipeline.stage.cache_clear()
+    for rec in theorems.values():
+        verify_theorem(rec)
+    bases = [vars(pipeline.stage(*cfg).system) for cfg in pipeline.all_configurations()]
+    einsteins = [vars(base["einstein"]) for base in bases if "einstein" in base]
+    assert einsteins
+    for base in bases:
+        if "einstein" in base:
+            assert vars(base["einstein"])["constraint_rows"] is base["constraint_rows"]
+    row_sets = sum(name in cached for cached in bases + einsteins
+                   for name in ("integer_rows", "constraint_rows", "equation_rows"))
+    row_sets -= len(einsteins)  # shared, not compiled again
+    assert len(spot_checks) > 50
+    assert len(generated) <= row_sets + 2 * len(spot_checks)
+    pipeline.stage.cache_clear()

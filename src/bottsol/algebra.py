@@ -226,6 +226,19 @@ def screen_jacobi(spec: LieAlgebraSpec) -> None:
 
 _BRACKET_KEYS = {f"[e{i},e{j}]": (i, j) for i, j in _ROW_KEYS}
 
+# The perturbation parameter and the soliton unknowns: a structure constant
+# or constraint that named one would be conflated with it.
+_RESERVED = ("a0", "mu", "mu1", "mu2", "mu3")
+
+
+def _unreserved(polys: Sequence[Poly], lineno: int) -> None:
+    used = sorted({name for p in polys for name in p.params()}.intersection(_RESERVED))
+    if used:
+        raise InvalidAlgebra(
+            f"line {lineno}: reserved name {', '.join(used)}: a0 is the perturbation "
+            "parameter, and mu, mu1, mu2, mu3 are the soliton unknowns"
+        )
+
 
 def content_lines(text: str):
     """(line number, line) for each line left once '#' comments and blank
@@ -248,8 +261,10 @@ def parse_custom_file(text: str) -> LieAlgebraSpec:
         try:
             if line.startswith("require_zero"):
                 eq.append(parse_poly(line[len("require_zero"):].strip()))
+                _unreserved(eq[-1:], lineno)
             elif line.startswith("require_nonzero"):
                 nz.append(parse_poly(line[len("require_nonzero"):].strip()))
+                _unreserved(nz[-1:], lineno)
             else:
                 lhs, _, rhs = line.partition("=")
                 key = lhs.replace(" ", "")
@@ -258,6 +273,7 @@ def parse_custom_file(text: str) -> LieAlgebraSpec:
                 if _BRACKET_KEYS[key] in rows:
                     raise InvalidAlgebra(f"line {lineno}: duplicate bracket {key}")
                 vec = Vec3(parse_vector(rhs))
+                _unreserved(vec.c, lineno)
                 rows[_BRACKET_KEYS[key]] = vec
                 terms += 2 * sum(len(comp.terms) for comp in vec.c)
                 if terms * terms > MAX_PRODUCT_TERMS:

@@ -72,9 +72,7 @@ def _grlex_key(exp: Exponent):
 class Poly:
     """Immutable sparse polynomial over PARAMS with Fraction coefficients."""
 
-    # _factors: the terms as (numerator, denominator, ((name, k), ...)) for
-    # eval_at, built on its first call; nothing else reads it.
-    __slots__ = ("terms", "_factors")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Exponent, Fraction] | None = None):
         self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
@@ -309,30 +307,13 @@ class Poly:
         return Poly(out)
 
     def eval_at(self, point: Mapping[str, Fraction]) -> Fraction:
-        """Exact value at a fully rational point, summed over integers."""
-        try:
-            factors = self._factors
-        except AttributeError:
-            factors = self._factors = tuple(
-                (c.numerator, c.denominator, tuple((PARAMS[i], k) for i, k in enumerate(e) if k))
-                for e, c in self.terms.items()
-            )
-        num, den = 0, 1
-        try:
-            for tn, td, powers in factors:
-                for name, k in powers:
-                    value = point[name]
-                    tn *= value.numerator ** k
-                    td *= value.denominator ** k
-                if td == den:
-                    num += tn
-                else:
-                    num = num * td + tn * den
-                    den *= td
-        except KeyError:
-            missing = self.params() - set(point)
-            raise UnboundParameter(f"no value for {sorted(missing)}") from None
-        return Fraction(num, den)
+        """Exact value at a point that binds every parameter of self; other
+        keys of `point` are ignored."""
+        names = self.params()
+        missing = names.difference(point)
+        if missing:
+            raise UnboundParameter(f"no value for {sorted(missing)}")
+        return self.partial_eval({name: point[name] for name in names}).constant_value()
 
     # -- printing ------------------------------------------------------------
 

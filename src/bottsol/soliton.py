@@ -61,9 +61,8 @@ class SolitonSystem:
     equations: tuple  # normalized Polys, in basis-pair order
     group: str
     distribution: str
-    perturbed: bool
     equality_constraints: tuple
-    nonzero_constraints: tuple
+    nonzero_constraints: tuple  # a0 last when perturbed
     parameters: tuple  # group parameters plus a0 when perturbed
 
     def __str__(self) -> str:
@@ -81,11 +80,6 @@ class SolitonSystem:
     def constraint_rows(self) -> "IntegerRows":
         """One row: the equality constraints, then the nonzero ones, compiled once."""
         return IntegerRows.of([self.equality_constraints + self.nonzero_constraints])
-
-    @cached_property
-    def equation_rows(self) -> "IntegerRows":
-        """One row: the equations over the parameters and the unknowns, compiled once."""
-        return IntegerRows.of([self.equations])
 
     @cached_property
     def einstein(self) -> "SolitonSystem":
@@ -116,17 +110,18 @@ def build_system(
         norm = raw.primitive()
         if norm not in equations:
             equations.append(norm)
-    params = list(spec.parameters)
+    params = spec.parameters
+    nonzero = spec.nonzero_constraints
     if perturbed:
-        params.append("a0")
+        params += ("a0",)
+        nonzero += (Poly.var("a0"),)
     return SolitonSystem(
         equations=tuple(equations),
         group=spec.label,
         distribution=dist_name,
-        perturbed=perturbed,
         equality_constraints=spec.equality_constraints,
-        nonzero_constraints=spec.nonzero_constraints,
-        parameters=tuple(params),
+        nonzero_constraints=nonzero,
+        parameters=params,
     )
 
 
@@ -248,8 +243,6 @@ def check_point_admissible(system: SolitonSystem, point: Mapping[str, Fraction])
     for c, value in zip(system.nonzero_constraints, values[len(equal):]):
         if not value:
             raise ConstraintViolated(f"nonzero constraint {c} fails at {dict(point)}")
-    if system.perturbed and point["a0"] == 0:
-        raise ConstraintViolated("a0 must be nonzero for perturbed connections")
 
 
 # Longest sum written as one expression: Python's compiler recurses once per
@@ -498,14 +491,14 @@ def _solve_equalities(
             if name != target:
                 point[name] = rand()
         shifted = residual.partial_eval({name: point[name] for name in open_names if name != target})
-        a = shifted.coefficient_of(target)
-        b = shifted.drop([target])
-        a_val = a.eval_at(point)
-        if a_val == 0:
-            if b.eval_at(point) != 0:
+        # Every name left in `shifted` is the target, so both are constants.
+        a = shifted.coefficient_of(target).constant_value()
+        b = shifted.drop([target]).constant_value()
+        if a == 0:
+            if b != 0:
                 return False
             continue
-        point[target] = -b.eval_at(point) / a_val
+        point[target] = -b / a
     for name in free:
         point.setdefault(name, rand())
     return True

@@ -18,6 +18,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import pipeline, registry
 from .registry import FamilyRecord, Fixture, TheoremRecord
@@ -238,6 +240,17 @@ def _bound_values(binds: dict):
     return extend
 
 
+def _equation_values(system: SolitonSystem, full: dict) -> list:
+    """Each equation's value at `full` times one positive constant: the rows
+    of system.integer_rows at the parameters' values, weighted by the
+    unknowns' values times their common denominator."""
+    unknowns = [full[u] for u in UNKNOWNS]
+    scale = lcm(*(v.denominator for v in unknowns))
+    weights = [v.numerator * (scale // v.denominator) for v in unknowns] + [scale]
+    rows = system.integer_rows.at({k: v for k, v in full.items() if k not in UNKNOWNS})
+    return [sum(map(mul, row, weights)) for row in rows]
+
+
 def _spot_check_family(
     system: SolitonSystem,
     family: SolutionFamily,
@@ -248,9 +261,9 @@ def _spot_check_family(
     that keep the family's nonzero side conditions; each point must solve
     every equation exactly and decide_at_point must find it solvable.
     Returns the number of points checked; raises AssertionError on any
-    failure.  The bindings, the nonzero side conditions and the equations
-    are each evaluated through rows compiled once, whose values are exact
-    multiples of the polynomials' values by a positive constant."""
+    failure.  The bindings and the nonzero side conditions are evaluated
+    through rows compiled once, and the equations by _equation_values; every
+    value is the polynomial's value times a positive constant."""
     binds = family.closed_bindings()
     free_names = [n for n in list(system.parameters) + list(UNKNOWNS) if n not in binds]
     extend = _bound_values(binds)
@@ -274,8 +287,7 @@ def _spot_check_family(
             continue
         if not all(nonzero_rows.at(full)[0]):
             continue
-        (values,) = system.equation_rows.at(full)
-        for eq, value in zip(system.equations, values):
+        for eq, value in zip(system.equations, _equation_values(system, full)):
             if value:
                 raise AssertionError(
                     f"family {family.label}: equation {eq} = {eq.eval_at(full)} != 0 at {full}"

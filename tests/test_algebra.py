@@ -155,6 +155,21 @@ class TestCustomFile:
         spec = parse_custom_file("[e1,e2] = delta*e3\n[e1,e3] = gamma*e2\n[e2,e3] = 0")
         assert spec.parameters == ("gamma", "delta")
 
+    @pytest.mark.parametrize("text, message", [
+        ("[e1,e2] = mu*e1\n[e1,e3] = 0\n[e2,e3] = 0",
+         "line 1: reserved name mu: a0 is the perturbation parameter, "
+         "and mu, mu1, mu2, mu3 are the soliton unknowns"),
+        ("[e1,e2] = e3\n[e1,e3] = 0\n[e2,e3] = 0\nrequire_nonzero alpha\nrequire_zero a0*mu2 - mu3",
+         "line 5: reserved name a0, mu2, mu3: a0 is the perturbation parameter, "
+         "and mu, mu1, mu2, mu3 are the soliton unknowns"),
+    ])
+    def test_reserved_names_refused(self, text, message):
+        # A structure constant named mu or a0 would merge with the soliton
+        # unknown or the perturbation parameter of the same name.
+        with pytest.raises(InvalidAlgebra) as exc:
+            parse_custom_file(text)
+        assert str(exc.value) == message
+
     def test_duplicate_row(self):
         text = "[e1,e2] = e3\n[e1,e2] = e2\n[e1,e3] = 0\n[e2,e3] = 0"
         with pytest.raises(InvalidAlgebra):

@@ -249,6 +249,13 @@ class TestCheckCustom:
         code, _, err = run(capsys, "check-custom", "--spec-file", str(path))
         assert code == EX_USAGE and "invalid algebra: line 1" in err
 
+    def test_reserved_name_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "reserved.alg"
+        path.write_text("[e1,e2] = a0*e1\n[e1,e3] = 0\n[e2,e3] = 0\n")
+        code, out, err = run(capsys, "check-custom", "--spec-file", str(path), "--perturbed")
+        assert code == EX_USAGE and out == ""
+        assert err.startswith("invalid algebra: line 1: reserved name a0: ")
+
     def test_long_coefficients(self, tmp_path, capsys):
         # 2^8000 parses (2,409 digits), but the curvature squares it past the
         # 4,300-digit limit on printing an integer; 2^7000 squared stays under.

@@ -92,11 +92,18 @@ class TestEval:
     def test_unbound(self):
         with pytest.raises(UnboundParameter):
             P("alpha + beta").eval_at({"alpha": Fraction(1)})
-        # The same message once eval_at has cached the term list.
+        # The same message after an evaluation that succeeded.
         p = P("alpha*beta + gamma")
         assert p.eval_at({"alpha": Fraction(1), "beta": Fraction(2), "gamma": Fraction(3)}) == 5
         with pytest.raises(UnboundParameter, match=r"^no value for \['beta', 'gamma'\]$"):
             p.eval_at({"alpha": Fraction(1)})
+
+    def test_keys_outside_the_alphabet_are_ignored(self):
+        p = P("alpha*beta + gamma")
+        point = {"alpha": Fraction(1), "beta": Fraction(2), "gamma": Fraction(3), "eta": 7, "x": 0}
+        assert p.eval_at(point) == 5
+        with pytest.raises(UnboundParameter, match=r"^no value for \['beta', 'gamma'\]$"):
+            p.eval_at({"alpha": Fraction(1), "eta": 7, "x": 0})
 
 
 class TestRatFun:
@@ -221,8 +228,8 @@ def test_hash_agrees_with_equality(a, b, c, k):
 @given(polys(), polys(), _coeffs, _coeffs, _coeffs, _coeffs)
 @settings(max_examples=60, deadline=None)
 def test_evaluated_poly_keeps_its_contract(p, q, a, b, c, m):
-    """eval_at caches a term list on the polynomial: the value still equals
-    and hashes like a fresh copy, and values derived from it afterwards
+    """Evaluating a polynomial leaves it unchanged: it still equals and
+    hashes like a fresh copy, and values derived from it afterwards
     evaluate to what arithmetic on the values gives."""
     point = {"alpha": a, "beta": b, "gamma": c, "mu1": m}
     value = p.eval_at(point)

@@ -180,8 +180,21 @@ class TestDecideAtPoint:
 
     def test_perturbed_requires_nonzero_a0(self):
         system = stage("G1", "D", perturbed=True).system
-        with pytest.raises(ConstraintViolated):
+        with pytest.raises(ConstraintViolated, match=r"^nonzero constraint a0 fails at "
+                           r"\{'alpha': Fraction\(1, 1\), 'beta': Fraction\(0, 1\), "
+                           r"'a0': Fraction\(0, 1\)\}$"):
             decide_at_point(system, {"alpha": F(1), "beta": F(0), "a0": F(0)})
+
+    def test_a0_is_a_nonzero_constraint(self):
+        """A perturbed system lists a0 last among its nonzero constraints, and
+        its Einstein form shares the same compiled constraint rows."""
+        for group, dist, perturbed, eta in all_configurations():
+            system = stage(group, dist, perturbed, eta).system
+            names = [name for c in system.nonzero_constraints for name in c.params()]
+            assert names.count("a0") == perturbed
+            if perturbed:
+                assert system.nonzero_constraints[-1] == Poly.var("a0")
+            assert system.einstein.constraint_rows is system.constraint_rows
 
 
 class TestSolver:

@@ -18,6 +18,7 @@ from bottsol.verify import (
     MISMATCH,
     REFUTED,
     _bound_values,
+    _equation_values,
     _family_from_record,
     _spot_check_family,
     verify_fixture,
@@ -335,10 +336,11 @@ def _assert_positive_multiple(values, polys, point):
 
 
 def test_equation_and_side_rows_agree_with_eval_at():
-    """Each value of SolitonSystem.equation_rows and of a family's compiled
-    nonzero side conditions is the polynomial's value times one positive
-    constant, so every zero test agrees with Poly.eval_at, on the family
-    locus (where the equations vanish) and off it."""
+    """Each value _equation_values gives from SolitonSystem.integer_rows and
+    each value of a family's compiled nonzero side conditions is the
+    polynomial's value times one positive constant, so every zero test
+    agrees with Poly.eval_at, on the family locus (where the equations
+    vanish) and off it."""
     zeros = 0
     for system, family, binds in _claim_families():
         extend = _bound_values(binds)
@@ -347,10 +349,10 @@ def test_equation_and_side_rows_agree_with_eval_at():
             full = extend(point)
             if full is None:
                 continue
-            zeros += _assert_positive_multiple(system.equation_rows.at(full)[0], system.equations, full)
+            zeros += _assert_positive_multiple(_equation_values(system, full), system.equations, full)
             _assert_positive_multiple(side.at(full)[0], family.side_nonzero, full)
             off = {**full, "mu": full["mu"] + 1}
-            _assert_positive_multiple(system.equation_rows.at(off)[0], system.equations, off)
+            _assert_positive_multiple(_equation_values(system, off), system.equations, off)
     assert zeros > 1000
 
 
@@ -384,9 +386,9 @@ def test_wrong_family_fails_the_spot_check(theorems, theorem_id, eta, bindings, 
 
 def test_one_theorem_pass_compiles_each_row_set_once(theorems, monkeypatch):
     """Over one pass of the 45 records, evaluators are generated at most once
-    per row set of each distinct system (equations, constraints, equation
-    values; an Einstein system reuses its base's constraints) plus two per
-    spot-checked family (bound values and nonzero side conditions)."""
+    per row set of each distinct system (equations and constraints; an
+    Einstein system reuses its base's constraints) plus two per spot-checked
+    family (bound values and nonzero side conditions)."""
     generated = []
     evaluate = IntegerRows.__dict__["_evaluate"].func
 
@@ -415,7 +417,7 @@ def test_one_theorem_pass_compiles_each_row_set_once(theorems, monkeypatch):
         if "einstein" in base:
             assert vars(base["einstein"])["constraint_rows"] is base["constraint_rows"]
     row_sets = sum(name in cached for cached in bases + einsteins
-                   for name in ("integer_rows", "constraint_rows", "equation_rows"))
+                   for name in ("integer_rows", "constraint_rows"))
     row_sets -= len(einsteins)  # shared, not compiled again
     assert len(spot_checks) > 50
     assert len(generated) <= row_sets + 2 * len(spot_checks)

@@ -83,12 +83,3 @@ stage.cache_info = _catalog_stage.cache_info
 
 def eta_signs(group: str) -> tuple:
     return (1, -1) if group == "G4" else (None,)
-
-
-def all_configurations():
-    """Yield (group, dist_name, perturbed, eta_sign) over the whole catalog."""
-    for group in algebra.GROUPS:
-        for dist_name in connection.DISTRIBUTIONS:
-            for perturbed in (False, True):
-                for eta in eta_signs(group):
-                    yield group, dist_name, perturbed, eta

@@ -42,13 +42,14 @@ class TableKind:
     star: tuple | None = None  # the keys a '* : 0' row stands for (None: no '*' row)
     vector: bool = False  # rows are vectors, parsed to Vec3
     mirrored: bool = False  # the stored i <= j half stands for both halves
+    arity: int = 2  # indices in a row's key, each in 1..3
 
 
 TABLE_KINDS = {
     "levi_civita": TableKind("connection_table", "levi_civita", vector=True),
     "bott": TableKind("connection_table", "conn", vector=True),
     "curvature": TableKind(
-        "curvature_table", "riemann", vector=True,
+        "curvature_table", "riemann", vector=True, arity=3,
         star=tuple((i, j, p) for i in (1, 2) for j in range(i + 1, 4) for p in (1, 2, 3)),
     ),
     "ricci": TableKind("bilinear_table", "ricci",
@@ -57,7 +58,7 @@ TABLE_KINDS = {
     "lie_derivative": TableKind("bilinear_table", "lie_derivative", star=_UPPER_PAIRS,
                                 mirrored=True),
     "system": TableKind("system_equations", "system"),
-    "curvature_delta": TableKind("delta_table", "riemann", vector=True),
+    "curvature_delta": TableKind("delta_table", "riemann", vector=True, arity=3),
     "sym_ricci_delta": TableKind("delta_table", "sym_ricci", star=_UPPER_PAIRS),
 }
 
@@ -145,6 +146,11 @@ def _parse_table_file(text: str, group: str, dist: str) -> list:
             key = tuple(int(tok) for tok in key_txt.split())
         except ValueError as exc:
             raise RegistryError(f"{group}/{dist} line {lineno}: bad indices {key_txt!r}") from exc
+        arity = TABLE_KINDS[kind].arity
+        if len(key) != arity or not all(1 <= k <= 3 for k in key):
+            raise RegistryError(
+                f"{group}/{dist} line {lineno}: {kind} rows need {arity} indices in 1..3, "
+                f"got {key_txt!r}")
         rows.append((key, expr))
     flush()
     return fixtures

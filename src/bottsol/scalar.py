@@ -139,9 +139,6 @@ class Poly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "Poly":
-        return Poly._coerce(other) + (-self)
-
     def __mul__(self, other) -> "Poly":
         other = Poly._coerce(other)
         if other is NotImplemented:
@@ -161,11 +158,6 @@ class Poly:
         return Poly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be non-negative integers")
-        return _power(self, n, Poly.const(1), Poly.__mul__)
 
     def __eq__(self, other) -> bool:
         other = Poly._coerce(other)
@@ -246,14 +238,12 @@ class Poly:
     def coefficient_of(self, name: str) -> "Poly":
         """Coefficient of the degree-1 part in `name` (the rest of each term)."""
         i = _INDEX[name]
+        # Distinct degree-1 terms have distinct rests, so no key is seen twice.
         out = {}
         for e, c in self.terms.items():
             if e[i] == 1:
-                reste = list(e)
-                reste[i] = 0
-                reste = tuple(reste)
-                out[reste] = out[reste] + c if reste in out else c
-        return Poly(out)
+                out[e[:i] + (0,) + e[i + 1:]] = c
+        return Poly._trusted(out)
 
     def drop(self, names: Iterable[str]) -> "Poly":
         """Terms of self free of all the given parameters."""
@@ -350,8 +340,6 @@ def poly_div_exact(num: Poly, den: Poly) -> Poly | None:
     """Return q with num == q*den, or None when den does not divide num."""
     if den.is_zero():
         return None
-    if num.is_zero():
-        return Poly.zero()
     if den.is_constant():
         return num.scaled(1 / den.constant_value())
     lead_e, lead_c = den.leading()
@@ -433,12 +421,6 @@ class RatFun:
     def __neg__(self) -> "RatFun":
         return RatFun(-self.num, self.den)
 
-    def __sub__(self, other) -> "RatFun":
-        return self + (-RatFun.coerce(other))
-
-    def __rsub__(self, other) -> "RatFun":
-        return RatFun.coerce(other) + (-self)
-
     def __mul__(self, other) -> "RatFun":
         other = RatFun.coerce(other)
         return RatFun.make(self.num * other.num, self.den * other.den)
@@ -473,12 +455,6 @@ class RatFun:
         if den.is_zero():
             raise DenominatorZero(f"substitution makes the denominator of {self} vanish")
         return self.num.substitute(bindings) / den
-
-    def eval_at(self, point: Mapping[str, Fraction]) -> Fraction:
-        den = self.den.eval_at(point)
-        if den == 0:
-            raise DenominatorZero(f"denominator of {self} vanishes at {dict(point)}")
-        return self.num.eval_at(point) / den
 
     def params(self) -> set:
         return self.num.params() | self.den.params()
@@ -640,13 +616,15 @@ class _ExprParser:
             if isinstance(scalar, Poly) and scalar.is_constant():
                 return {k: c * (1 / scalar.constant_value()) for k, c in a.items()}
             return {k: RatFun.coerce(c) / scalar for k, c in a.items()}
+        # Two products share a key only when both operands have a basis
+        # part, and then a product of two basis vectors raises first.
         out: dict = {}
         for k1, c1 in a.items():
             for k2, c2 in b.items():
                 if k1 and k2:
                     raise ParseError("product of basis vectors is not a vector")
-                k = k1 or k2
-                out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+                out[k1 or k2] = c1 * c2
+        # The literal 0 parses to a zero Poly, so a product can be zero.
         return {k: c for k, c in out.items() if not c.is_zero()}
 
     def _factor(self):

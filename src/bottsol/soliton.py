@@ -175,22 +175,12 @@ class Verdict:
     equation_index: int | None = None
     residual: RatFun | None = None
 
-    def __str__(self) -> str:
-        if self.satisfied:
-            return "Satisfied"
-        return f"Violated(equation {self.equation_index}, residual {self.residual})"
-
 
 def _reduces_to_zero(numerator: Poly, side_polys: Sequence[Poly]) -> bool:
     """True when the residual is an exact polynomial multiple of a side condition."""
     if numerator.is_zero():
         return True
-    for s in side_polys:
-        if s.is_zero():
-            continue
-        if poly_div_exact(numerator, s) is not None:
-            return True
-    return False
+    return any(poly_div_exact(numerator, s) is not None for s in side_polys)
 
 
 def check_family(system: SolitonSystem, family: SolutionFamily) -> Verdict:

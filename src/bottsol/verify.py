@@ -129,7 +129,7 @@ def _verify_fixture_for_eta(fix: Fixture, eta: int | None) -> list:
             for key in sorted(expected) if expected[key] != computed[key]]
 
 
-def verify_fixture(fix: Fixture, errata: set | None = None) -> FixtureReport:
+def verify_fixture(fix: Fixture, errata: set | frozenset = frozenset()) -> FixtureReport:
     """Recompute the fixture's object and compare entrywise.
 
     `errata` holds (fixture_id, key, stored, computed) signatures of audited
@@ -144,9 +144,7 @@ def verify_fixture(fix: Fixture, errata: set | None = None) -> FixtureReport:
                 diffs.append(diff)
     if not diffs:
         status = MATCH
-    elif errata is not None and all(
-        (fix.id, d.key, d.expected, d.computed) in errata for d in diffs
-    ):
+    elif all((fix.id, d.key, d.expected, d.computed) in errata for d in diffs):
         status = KNOWN_DISCREPANCY
     else:
         status = MISMATCH

@@ -4,15 +4,44 @@
 over Fractions; `solve_affine` feeds rational rows to the program's
 fraction-free integer solver, so the two can be compared on any input.
 `reference_at` evaluates compiled integer rows by a plain loop, against
-which the program's generated evaluator is compared.
+which the program's generated evaluator is compared, and `ratfun_eval_at`
+evaluates a quotient at a point, against which the compiled family bindings
+are compared.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from bottsol.algebra import METRIC_SIGNS, Vec3, bilinear
-from bottsol.scalar import Poly, UnboundParameter
+from bottsol.algebra import GROUPS, METRIC_SIGNS, Vec3, bilinear
+from bottsol.connection import DISTRIBUTIONS
+from bottsol.pipeline import eta_signs
+from bottsol.scalar import DenominatorZero, Poly, RatFun, UnboundParameter
 from bottsol.soliton import UNKNOWNS, IntegerRows, PointVerdict, _solve_integer_rows
+
+
+def all_configurations():
+    """Yield (group, dist_name, perturbed, eta_sign) over the whole catalog."""
+    for group in GROUPS:
+        for dist_name in DISTRIBUTIONS:
+            for perturbed in (False, True):
+                for eta in eta_signs(group):
+                    yield group, dist_name, perturbed, eta
+
+
+def power(p: Poly, n: int) -> Poly:
+    """p^n as a product of n factors."""
+    result = Poly.const(1)
+    for _ in range(n):
+        result = result * p
+    return result
+
+
+def ratfun_eval_at(r: RatFun, point) -> Fraction:
+    """Exact value of r at a point that binds every parameter of r."""
+    den = r.den.eval_at(point)
+    if den == 0:
+        raise DenominatorZero(f"denominator of {r} vanishes at {dict(point)}")
+    return r.num.eval_at(point) / den
 
 
 def metric_pair(x: Vec3, y: Vec3) -> Poly:

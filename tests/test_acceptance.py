@@ -19,9 +19,9 @@ import oracle
 from bottsol import registry, verify
 from bottsol.algebra import GROUPS, bracket, Vec3
 from bottsol.connection import DISTRIBUTIONS
-from bottsol.pipeline import all_configurations, eta_signs, stage
+from bottsol.pipeline import eta_signs, stage
 from bottsol.soliton import UNKNOWNS, assert_affine_linear, random_points
-from helpers import apply, is_symmetric, metric_pair
+from helpers import all_configurations, apply, is_symmetric, metric_pair
 
 E = [None, Vec3.basis(1), Vec3.basis(2), Vec3.basis(3)]
 

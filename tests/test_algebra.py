@@ -1,5 +1,6 @@
 import pytest
 
+from bottsol import algebra
 from bottsol.algebra import (
     GROUPS,
     InvalidAlgebra,
@@ -149,6 +150,14 @@ class TestCustomFile:
     def test_bad_expression(self):
         with pytest.raises(InvalidAlgebra):
             parse_custom_file("[e1,e2] = foo*e3\n[e1,e3] = 0\n[e2,e3] = 0")
+
+    def test_structure_constants_exactly_at_the_bound(self, monkeypatch):
+        """A row of two terms fills two entries of c: 4 terms, squared 16."""
+        monkeypatch.setattr(algebra, "MAX_PRODUCT_TERMS", 16)
+        spec = parse_custom_file("[e1,e2] = alpha*e1 + beta*e2\n[e1,e3] = 0\n[e2,e3] = 0")
+        assert spec.bracket_basis(1, 2) == V("alpha*e1 + beta*e2")
+        with pytest.raises(InvalidAlgebra, match=r"^line 2: structure constants too large: 6 terms"):
+            parse_custom_file("[e1,e2] = alpha*e1 + beta*e2\n[e1,e3] = gamma*e2\n[e2,e3] = 0")
 
     def test_parameters_in_alphabet_order(self):
         # PARAMS lists gamma before delta; alphabetical order would not.

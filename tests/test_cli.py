@@ -8,7 +8,8 @@ import time
 import pytest
 
 from bottsol.cli import EX_USAGE, build_parser, main
-from bottsol.pipeline import all_configurations, stage
+from bottsol.pipeline import stage
+from helpers import all_configurations
 
 # sha256 of `bottsol verify-all --format structured --seed 177147`.
 REPORT_DIGEST = "ad98388ae167c071a3872bcc8f97ddb8085863d09bd2458b71b8f5c02d3ccc86"
@@ -167,11 +168,14 @@ class TestVerifyCommands:
     def test_timing_adds_elapsed_ms_to_fixtures_and_theorems_only(self, capsys):
         args = ("verify-all", "--format", "structured", "--samples", "3", "--spot-samples", "1")
         _, plain, _ = run(capsys, *args)
+        started = time.perf_counter()
         _, timed, _ = run(capsys, *args, "--timing")
+        wall_ms = (time.perf_counter() - started) * 1000.0
         plain, timed = json.loads(plain), json.loads(timed)
         for section in ("fixtures", "theorems"):
             for entry in timed[section]:
-                assert isinstance(entry.pop("elapsed_ms"), float)
+                elapsed_ms = entry.pop("elapsed_ms")
+                assert isinstance(elapsed_ms, float) and 0 <= elapsed_ms <= wall_ms
                 for family in entry.get("families", ()):
                     assert "elapsed_ms" not in family
         assert timed == plain

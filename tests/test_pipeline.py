@@ -1,5 +1,6 @@
 from bottsol import algebra, connection
-from bottsol.pipeline import all_configurations, eta_signs, stage
+from bottsol.pipeline import eta_signs, stage
+from helpers import all_configurations
 
 
 def test_every_call_form_shares_one_cache_entry():

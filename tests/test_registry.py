@@ -65,6 +65,21 @@ def test_theorem_claims(monkeypatch):
     assert corollary.claims[1].families[0].bindings == (("mu", "0"),)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[bott 9.9]\n4 4 : e1\n", "G1/D line 2: bott rows need 2 indices in 1..3, got '4 4'"),
+    ("[ricci 9.9]\n1 2 3 : alpha\n", "G1/D line 2: ricci rows need 2 indices in 1..3, got '1 2 3'"),
+    ("[curvature 9.9]\n1 2 : e1\n", "G1/D line 2: curvature rows need 3 indices in 1..3, got '1 2'"),
+    ("[sym_ricci_delta 9.9 perturbed]\n1 : a0\n",
+     "G1/D line 2: sym_ricci_delta rows need 2 indices in 1..3, got '1'"),
+])
+def test_table_keys_are_checked(text, message):
+    """A row key with the wrong number of indices, or an index outside 1..3,
+    is refused with its line, not left to fail later as a missing entry."""
+    with pytest.raises(RegistryError) as exc:
+        registry._parse_table_file(text, "G1", "D")
+    assert str(exc.value) == message
+
+
 def test_stored_tables_parse_without_rational_functions(monkeypatch):
     """Every stored table is polynomial, so loading all of them at each G4
     sign builds no RatFun at all."""

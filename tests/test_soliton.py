@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bottsol.algebra import Vec3, custom_spec
-from bottsol.pipeline import all_configurations, build, stage
+from bottsol.pipeline import build, stage
 from bottsol.scalar import Poly, parse_poly, parse_ratfun
 from bottsol.soliton import (
     RANDOM_VALUES,
@@ -20,7 +20,7 @@ from bottsol.soliton import (
     random_points,
     sample_plan,
 )
-from helpers import is_symmetric, solve_affine
+from helpers import all_configurations, is_symmetric, solve_affine
 
 F = Fraction
 

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 import pytest
 
 from bottsol.algebra import Vec3, custom_spec
-from bottsol.pipeline import all_configurations, build, stage
+from bottsol.pipeline import build, stage
 from bottsol.scalar import PARAMS, Poly, RatFun, UnboundParameter
 from bottsol.soliton import _TERMS_PER_SUM, UNKNOWNS, IntegerRows, decide_at_point
-from helpers import reference_at, reference_solve, solve_affine
+from helpers import all_configurations, power, reference_at, reference_solve, solve_affine
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -132,7 +132,7 @@ def test_coefficients_past_the_printing_limit_evaluate():
 def test_long_entries_evaluate_like_the_reference_loop():
     """An entry with more terms than one generated sum holds is added up in
     pieces, since Python's compiler recurses once per operator."""
-    p = (Poly.var("alpha") + Poly.var("beta") + Poly.var("gamma") + Poly.var("delta") + 1) ** 7
+    p = power(Poly.var("alpha") + Poly.var("beta") + Poly.var("gamma") + Poly.var("delta") + 1, 7)
     assert len(p.terms) > _TERMS_PER_SUM
     rows = IntegerRows.of([[p, p.scaled(Fraction(1, 3))], [Poly.zero(), Poly.var("beta")]])
     point = {"alpha": Fraction(-2, 3), "beta": Fraction(1, 9), "gamma": Fraction(0),

@@ -17,13 +17,16 @@ from bottsol.verify import (
     MATCH,
     MISMATCH,
     REFUTED,
+    EntryDiff,
     _bound_values,
+    _diff_delta,
     _equation_values,
     _family_from_record,
     _spot_check_family,
     verify_fixture,
     verify_theorem,
 )
+from helpers import all_configurations, ratfun_eval_at
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +73,16 @@ class TestVerifyFixture:
     def test_unlisted_mismatch_stays_mismatch(self, fixtures):
         # Without the errata registry the same fixture is a plain mismatch.
         assert verify_fixture(fixtures["3.22"]).status == MISMATCH
+
+    def test_unlisted_change_on_a_diagonal_key_is_reported(self):
+        """No catalog perturbation changes a diagonal entry, so the scan's
+        first-index-at-most-second rule is pinned on a hand-made form."""
+        alpha, beta = parse_poly("alpha"), parse_poly("beta")
+        base = {(1, 1): alpha, (1, 2): alpha, (2, 1): alpha, (2, 2): beta}
+        computed = {(1, 1): beta, (1, 2): beta, (2, 1): beta, (2, 2): beta}
+        assert _diff_delta({(2, 1): beta}, computed, base) == [
+            EntryDiff("1,1", "(listed as unchanged)", "beta (was alpha)"),
+        ]
 
     def test_deterministic(self, fixtures, errata):
         a = verify_fixture(fixtures["5.43"], errata)
@@ -270,7 +283,7 @@ def test_fixture_checks_compile_no_point_evaluator():
     assert len(fixtures) == 196
     for fix in fixtures:
         verify_fixture(fix)
-    for cfg in pipeline.all_configurations():
+    for cfg in all_configurations():
         cached = vars(pipeline.stage(*cfg).system)
         assert "integer_rows" not in cached and "constraint_rows" not in cached
 
@@ -306,8 +319,8 @@ def _first_points(system, binds, count=20):
 
 def test_compiled_bindings_equal_ratfun_values():
     """The one compiled row of [numerator, denominator] pairs gives every bound
-    value RatFun.eval_at gives, in binding order, and None exactly where
-    eval_at meets a zero denominator."""
+    value helpers.ratfun_eval_at gives, in binding order, and None exactly
+    where it meets a zero denominator."""
     families = vanished = 0
     for system, _, binds in _claim_families():
         families += 1
@@ -316,7 +329,7 @@ def test_compiled_bindings_equal_ratfun_values():
             try:
                 expected = dict(point)
                 for name, value in binds.items():
-                    expected[name] = value.eval_at(point)
+                    expected[name] = ratfun_eval_at(value, point)
             except DenominatorZero:
                 expected = None
                 vanished += 1
@@ -356,7 +369,7 @@ def test_equation_and_side_rows_agree_with_eval_at():
     assert zeros > 1000
 
 
-# Each message is the one the per-point RatFun.eval_at / Poly.eval_at route gave.
+# Each message is the one the per-point RatFun / Poly evaluation route gave.
 WRONG_FAMILIES = [
     ("6.5", 1, (("a0", "beta - eta"), ("mu3", "0"), ("mu2", "-(beta - eta)"),
                 ("mu1", "1 + 1/(beta - eta)^2"), ("mu", "(beta - eta)^2")), ("beta - eta",),
@@ -410,7 +423,7 @@ def test_one_theorem_pass_compiles_each_row_set_once(theorems, monkeypatch):
     pipeline.stage.cache_clear()
     for rec in theorems.values():
         verify_theorem(rec)
-    bases = [vars(pipeline.stage(*cfg).system) for cfg in pipeline.all_configurations()]
+    bases = [vars(pipeline.stage(*cfg).system) for cfg in all_configurations()]
     einsteins = [vars(base["einstein"]) for base in bases if "einstein" in base]
     assert einsteins
     for base in bases:

@@ -72,9 +72,12 @@ def stage(group: str, dist_name: str, perturbed: bool = False, eta_sign: int | N
 
 
 def _cache_clear() -> None:
-    """Empty the stage cache and the per-algebra cache behind it."""
+    """Empty the stage cache, the per-algebra cache behind it and the code
+    objects compiled for the stages' systems, so the next stages start as a
+    fresh process does."""
     _catalog_stage.cache_clear()
     _catalog_algebra.cache_clear()
+    soliton._code.cache_clear()
 
 
 stage.cache_clear = _cache_clear

@@ -110,10 +110,21 @@ def _parse_table_file(text: str, group: str, dist: str) -> list:
     kind = fid = None
     perturbed = False
     rows: list = []
+    seen: set = set()  # the keys of the current block
 
     def flush():
         if kind is not None:
             fixtures.append(Fixture(fid, kind, group, dist, perturbed, tuple(rows)))
+
+    def add(keys: tuple, expr: str, lineno: int) -> None:
+        """Append one row per key; a key already listed in the block would
+        leave only its last row compared, so it is refused."""
+        repeated = sorted(seen.intersection(keys))
+        if repeated:
+            raise RegistryError(f"{group}/{dist} line {lineno}: {kind} key "
+                                f"{' '.join(map(str, repeated[0]))!r} listed twice in one block")
+        seen.update(keys)
+        rows.extend((key, expr) for key in keys)
 
     for lineno, line in content_lines(text):
         m = _HEADER.match(line)
@@ -123,6 +134,7 @@ def _parse_table_file(text: str, group: str, dist: str) -> list:
             if kind not in TABLE_KINDS:
                 raise RegistryError(f"{group}/{dist} line {lineno}: unknown kind {kind!r}")
             rows = []
+            seen = set()
             continue
         if kind is None:
             raise RegistryError(f"{group}/{dist} line {lineno}: content before first block")
@@ -140,7 +152,7 @@ def _parse_table_file(text: str, group: str, dist: str) -> list:
             star = TABLE_KINDS[kind].star
             if star is None:
                 raise RegistryError(f"{group}/{dist} line {lineno}: '*' not supported for {kind}")
-            rows.extend((key, "0") for key in star)
+            add(star, "0", lineno)
             continue
         try:
             key = tuple(int(tok) for tok in key_txt.split())
@@ -151,7 +163,7 @@ def _parse_table_file(text: str, group: str, dist: str) -> list:
             raise RegistryError(
                 f"{group}/{dist} line {lineno}: {kind} rows need {arity} indices in 1..3, "
                 f"got {key_txt!r}")
-        rows.append((key, expr))
+        add((key,), expr, lineno)
     flush()
     return fixtures
 

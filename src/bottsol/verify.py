@@ -238,14 +238,13 @@ def _bound_values(binds: dict):
     return extend
 
 
-def _equation_values(system: SolitonSystem, full: dict) -> list:
-    """Each equation's value at `full` times one positive constant: the rows
-    of system.integer_rows at the parameters' values, weighted by the
+def _equation_values(rows: list, full: dict) -> list:
+    """Each equation's value at `full` times one positive constant: `rows`,
+    the system's integer_rows at the parameters' values, weighted by the
     unknowns' values times their common denominator."""
     unknowns = [full[u] for u in UNKNOWNS]
     scale = lcm(*(v.denominator for v in unknowns))
     weights = [v.numerator * (scale // v.denominator) for v in unknowns] + [scale]
-    rows = system.integer_rows.at({k: v for k, v in full.items() if k not in UNKNOWNS})
     return [sum(map(mul, row, weights)) for row in rows]
 
 
@@ -260,8 +259,10 @@ def _spot_check_family(
     every equation exactly and decide_at_point must find it solvable.
     Returns the number of points checked; raises AssertionError on any
     failure.  The bindings and the nonzero side conditions are evaluated
-    through rows compiled once, and the equations by _equation_values; every
-    value is the polynomial's value times a positive constant."""
+    through rows compiled once; the system's integer rows are evaluated once
+    per point, and the same rows are solved by decide_at_point and give the
+    equations' values (_equation_values).  Every value is the polynomial's
+    value times a positive constant."""
     binds = family.closed_bindings()
     free_names = [n for n in list(system.parameters) + list(UNKNOWNS) if n not in binds]
     extend = _bound_values(binds)
@@ -279,13 +280,14 @@ def _spot_check_family(
         if full is None:
             continue
         group_point = {k: v for k, v in full.items() if k not in UNKNOWNS}
+        rows = system.integer_rows.at(group_point)
         try:
-            verdict = decide_at_point(system, group_point)
+            verdict = decide_at_point(system, group_point, rows)
         except ConstraintViolated:
             continue
         if not all(nonzero_rows.at(full)[0]):
             continue
-        for eq, value in zip(system.equations, _equation_values(system, full)):
+        for eq, value in zip(system.equations, _equation_values(rows, full)):
             if value:
                 raise AssertionError(
                     f"family {family.label}: equation {eq} = {eq.eval_at(full)} != 0 at {full}"

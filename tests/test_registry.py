@@ -80,6 +80,35 @@ def test_table_keys_are_checked(text, message):
     assert str(exc.value) == message
 
 
+BOTT_9_9 = ("[bott 9.9]\n1 1 : -alpha*e2\n1 2 : alpha*e1\n1 3 : 0\n2 1 : 0\n2 2 : 0\n"
+            "2 3 : alpha*e3\n3 1 : 7*e1\n3 1 : alpha*e1 + beta*e2\n3 2 : -beta*e1 - alpha*e2\n"
+            "3 3 : 0\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    (BOTT_9_9, "G1/D line 9: bott key '3 1' listed twice in one block"),
+    ("[ricci 9.9]\n* : 0\n2  1 : alpha\n",
+     "G1/D line 3: ricci key '2 1' listed twice in one block"),
+    ("[ricci 9.9]\n1 3 : alpha\n* : 0\n",
+     "G1/D line 3: ricci key '1 3' listed twice in one block"),
+    ("[sym_ricci 9.9]\n* : 0\n* : 0\n",
+     "G1/D line 3: sym_ricci key '1 1' listed twice in one block"),
+])
+def test_repeated_table_keys_are_refused(text, message):
+    """A block that lists one key twice would have only its last row
+    compared, so a wrong earlier row (the G1/D bott block's `3 1 : 7*e1`)
+    would verify as a match; it is refused with the repeating line."""
+    with pytest.raises(RegistryError) as exc:
+        registry._parse_table_file(text, "G1", "D")
+    assert str(exc.value) == message
+
+
+def test_a_key_may_repeat_across_blocks():
+    text = "[ricci 9.9]\n1 2 : alpha\n[ricci 9.10 perturbed]\n1 2 : beta\n"
+    first, second = registry._parse_table_file(text, "G1", "D")
+    assert first.rows == (((1, 2), "alpha"),) and second.rows == (((1, 2), "beta"),)
+
+
 def test_stored_tables_parse_without_rational_functions(monkeypatch):
     """Every stored table is polynomial, so loading all of them at each G4
     sign builds no RatFun at all."""

@@ -17,7 +17,10 @@ import pytest
 from bottsol.algebra import Vec3, custom_spec
 from bottsol.pipeline import build, stage
 from bottsol.scalar import PARAMS, Poly, RatFun, UnboundParameter
-from bottsol.soliton import _TERMS_PER_SUM, UNKNOWNS, IntegerRows, decide_at_point
+from bottsol import soliton
+from bottsol.soliton import (
+    _TERMS_PER_SUM, UNKNOWNS, IntegerRows, _solve_integer_rows, decide_at_point,
+)
 from helpers import all_configurations, power, reference_at, reference_solve, solve_affine
 
 SETTINGS = settings(max_examples=100, deadline=None)
@@ -138,6 +141,99 @@ def test_long_entries_evaluate_like_the_reference_loop():
     point = {"alpha": Fraction(-2, 3), "beta": Fraction(1, 9), "gamma": Fraction(0),
              "delta": Fraction(5)}
     assert rows.at(point) == reference_at(rows, point)
+
+
+def _fill(rows: IntegerRows, values) -> list:
+    """Integer rows with the zero pattern of `rows`: each column that is not
+    a structural zero takes the next of `values`."""
+    values = iter(values)
+    return [[next(values) if col else 0 for col in row] for row in rows.rows]
+
+
+PATTERNED = [system.integer_rows for system in SYSTEMS]
+ENTRIES = sum(bool(col) for rows in PATTERNED for row in rows.rows for col in row)
+
+
+SMALL = (0, 1, -1, 2, -2, 3, -3)  # byte b stands for SMALL[b % 7], so 0 shrinks to 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.binary(min_size=ENTRIES, max_size=ENTRIES),
+       st.lists(st.integers(-3, 3), min_size=4, max_size=4), st.booleans())
+def test_generated_elimination_matches_the_loop(blob, x, consistent):
+    """Every catalog system and its Einstein system: the elimination generated
+    from the zero pattern gives the loop's verdict, witness and dimension on
+    integers in -3..3 filled into that pattern, 0 included, so that pivots
+    vanish and it falls back to the loop.  With `consistent`, each constant
+    that is not a structural zero is set so that `x` solves its row, which
+    makes solvable rows common.  The input rows are left as they were.  The
+    entries are drawn as one string of bytes, since a draw per entry would
+    take seconds."""
+    values = (SMALL[b % 7] for b in blob)
+    for rows in PATTERNED:
+        m = _fill(rows, values)
+        if consistent:
+            for row, columns in zip(m, rows.rows):
+                if columns[-1]:
+                    row[-1] = -sum(a * b for a, b in zip(row, x))
+        before = [list(row) for row in m]
+        assert rows.solve(m) == _solve_integer_rows([list(row) for row in m], len(UNKNOWNS))
+        assert m == before
+
+
+def _uncompiled(rows: IntegerRows, columns=None) -> IntegerRows:
+    """A copy of `rows` (with `columns` in place of its rows, if given) that
+    has generated no code yet; the rows of a stage keep the code generated
+    before any pipeline.stage.cache_clear of an earlier test."""
+    return IntegerRows(rows.names, rows.top, rows.monomials, columns or rows.rows)
+
+
+def test_one_zero_pattern_shares_one_code_object():
+    """The elimination's source depends on the zero pattern alone, so
+    systems of one pattern run one code object."""
+    by_pattern: dict = {}
+    for rows in PATTERNED:
+        pattern = tuple(tuple(map(bool, row)) for row in rows.rows)
+        by_pattern.setdefault(pattern, []).append(_uncompiled(rows).solve.__code__)
+    shared = [codes for codes in by_pattern.values() if len(codes) > 1]
+    assert shared and all(code is codes[0] for codes in shared for code in codes)
+    assert len({codes[0] for codes in by_pattern.values()}) == len(by_pattern)
+
+
+def test_evaluator_sources_hold_no_coefficient():
+    """Rows with every coefficient replaced by a new integer, too large to
+    occur in any system, run the code object of the original rows: the
+    source, by which code is cached, holds no coefficient."""
+    fresh = iter(range(10 ** 30, 10 ** 31))
+    point = {n: Fraction(k + 2, 3) for k, n in enumerate(GROUP_PARAMS)}
+    for system in SYSTEMS:
+        for rows in (system.integer_rows, system.constraint_rows):
+            relabeled = _uncompiled(rows, tuple(
+                tuple(tuple((m, next(fresh)) for m, _ in col) for col in row) for row in rows.rows))
+            assert relabeled._evaluate.__code__ is _uncompiled(rows)._evaluate.__code__
+            assert relabeled.at(point) == reference_at(relabeled, point)
+
+
+def test_a_vanishing_pivot_falls_back_to_the_loop(monkeypatch):
+    """G1/D's first pivot is the mu1 coefficient of its second row; where it
+    vanishes the loop picks a later row, so the generated code hands the
+    rows to the loop, which solves a copy."""
+    calls = []
+
+    def loop(m, n):
+        calls.append([list(row) for row in m])
+        return _solve_integer_rows(m, n)
+
+    monkeypatch.setattr(soliton, "_solve_integer_rows", loop)
+    rows = stage("G1", "D").system.integer_rows
+    full = _fill(rows, range(1, 100))
+    assert rows.solve(full) == _solve_integer_rows([list(row) for row in full], 4) and not calls
+    vanishing = _fill(rows, [2, 0, 1, 0, 5] + list(range(1, 100)))
+    assert vanishing[1][0] == 0
+    before = [list(row) for row in vanishing]
+    verdict = rows.solve(vanishing)
+    assert calls == [before] and vanishing == before
+    assert verdict == _solve_integer_rows(before, 4)
 
 
 exponents = st.tuples(*[st.integers(0, 2)] * len(PARAMS))

@@ -5,7 +5,7 @@ from itertools import islice
 
 import pytest
 
-from bottsol import pipeline, registry, verify
+from bottsol import pipeline, registry, soliton, verify
 from bottsol.registry import Claim, Fixture, FamilyRecord, TheoremRecord
 from bottsol.scalar import DenominatorZero, parse_poly, parse_ratfun
 from bottsol.soliton import UNKNOWNS, InconsistentFamily, IntegerRows, SolutionFamily, draw_points
@@ -362,10 +362,12 @@ def test_equation_and_side_rows_agree_with_eval_at():
             full = extend(point)
             if full is None:
                 continue
-            zeros += _assert_positive_multiple(_equation_values(system, full), system.equations, full)
+            rows = system.integer_rows.at({k: v for k, v in full.items() if k not in UNKNOWNS})
+            zeros += _assert_positive_multiple(_equation_values(rows, full), system.equations,
+                                               full)
             _assert_positive_multiple(side.at(full)[0], family.side_nonzero, full)
             off = {**full, "mu": full["mu"] + 1}
-            _assert_positive_multiple(_equation_values(system, off), system.equations, off)
+            _assert_positive_multiple(_equation_values(rows, off), system.equations, off)
     assert zeros > 1000
 
 
@@ -434,4 +436,56 @@ def test_one_theorem_pass_compiles_each_row_set_once(theorems, monkeypatch):
     row_sets -= len(einsteins)  # shared, not compiled again
     assert len(spot_checks) > 50
     assert len(generated) <= row_sets + 2 * len(spot_checks)
+    pipeline.stage.cache_clear()
+
+
+def test_a_spot_check_evaluates_the_system_once_per_point(theorems, monkeypatch):
+    """decide_at_point solves the rows the spot check evaluated, and the
+    equations are tested on the same rows, so the system's integer rows are
+    evaluated once per decided point and left unconsumed by the solve."""
+    rec = theorems["2.9"]
+    system = pipeline.stage(rec.group, rec.distribution, rec.perturbed).system
+    family = _family_from_record(rec.claims[0].families[0], None, completed=False)
+    evaluated, decided = [], []
+    at, decide = IntegerRows.at, verify.decide_at_point
+
+    def counted_at(rows, point):
+        if rows is system.integer_rows:
+            evaluated.append(point)
+        return at(rows, point)
+
+    def counted_decide(system, point, rows):
+        decided.append(point)
+        before = [list(row) for row in rows]
+        verdict = decide(system, point, rows)
+        assert rows == before
+        return verdict
+
+    monkeypatch.setattr(IntegerRows, "at", counted_at)
+    monkeypatch.setattr(verify, "decide_at_point", counted_decide)
+    assert _spot_check_family(system, family, 25, 177147) == 25
+    assert len(decided) >= 25 and evaluated == decided
+
+
+def test_each_source_is_compiled_once_until_the_stages_are_cleared(theorems, monkeypatch):
+    """A default-count pass over the 45 records compiles each generated
+    source text once, however many row sets generate it;
+    pipeline.stage.cache_clear empties the code cache with the stages, so the
+    next pass compiles again."""
+    compiled = []
+
+    def counted(source, filename, mode):
+        compiled.append(source)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(soliton, "compile", counted, raising=False)
+    pipeline.stage.cache_clear()
+    for rec in theorems.values():
+        verify_theorem(rec)
+    first = set(compiled)
+    assert len(compiled) == len(first) > 50
+    pipeline.stage.cache_clear()
+    compiled.clear()
+    verify_theorem(theorems["2.9"])
+    assert compiled and len(compiled) == len(set(compiled)) and set(compiled) <= first
     pipeline.stage.cache_clear()

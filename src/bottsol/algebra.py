@@ -52,9 +52,6 @@ class Vec3:
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(tuple(a + b for a, b in zip(self.c, other.c)))
 
-    def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(tuple(a - b for a, b in zip(self.c, other.c)))
-
     def __neg__(self) -> "Vec3":
         return Vec3(tuple(-a for a in self.c))
 
@@ -109,23 +106,13 @@ def _c_from_rows(rows: Mapping[tuple, Vec3]) -> tuple:
     return tuple(tuple(row) for row in table)
 
 
-def combine(coeffs, vecs) -> Vec3:
-    """sum_k coeffs[k] * vecs[k]; zero coefficients are skipped before multiplying."""
-    out = Vec3.zero()
-    for coeff, vec in zip(coeffs, vecs):
-        if not coeff.is_zero():
-            out = out + vec.scale(coeff)
-    return out
-
-
 def bilinear(table, x: Vec3, y: Vec3) -> Vec3:
     """sum_ij x_i y_j table[i][j]: the bilinear map with values table[i][j] on
-    basis pairs, expanded only over the nonzero components of x and y."""
-    out = Vec3.zero()
-    for xi, row in zip(x.c, table):
-        if not xi.is_zero():
-            out = out + combine(y.c, row).scale(xi)
-    return out
+    basis pairs, expanded only over the nonzero components of x and y.  Each
+    product x_i y_j is formed once and each component is one Poly.dot."""
+    weights = [(xi * yj, table[i][j]) for i, xi in enumerate(x.c) if not xi.is_zero()
+               for j, yj in enumerate(y.c) if not yj.is_zero()]
+    return Vec3(tuple(Poly.dot([(w, vec.c[q]) for w, vec in weights]) for q in range(3)))
 
 
 def bracket(spec: LieAlgebraSpec, x: Vec3, y: Vec3) -> Vec3:

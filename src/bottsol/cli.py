@@ -307,7 +307,7 @@ def _cmd_check_custom(args) -> int:
         system = pipeline.build(spec, args.distribution, args.perturbed).system
         # str() raises ValueError on an integer past sys.get_int_max_str_digits().
         equations = [str(eq) for eq in system.equations]
-        body = str(system) if equations else "(empty system)"
+        body = "\n".join(f"{eq} = 0" for eq in equations) or "(empty system)"
     except (InvalidAlgebra, ValueError) as exc:
         print(f"invalid algebra: {exc}", file=sys.stderr)
         return EX_USAGE

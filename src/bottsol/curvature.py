@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LieAlgebraSpec, Vec3, combine
+from .algebra import LieAlgebraSpec, Vec3
 from .connection import Connection
 from .scalar import Poly
 
@@ -59,15 +59,21 @@ def riemann(spec: LieAlgebraSpec, conn: Connection) -> CurvatureTensor:
                                - c_ij^k gamma[k][p]).
     Only the i < j half is contracted.  Since c is antisymmetric (built so by
     `_c_from_rows`), the contraction is antisymmetric in (i, j): R(e_j,e_i)e_p
-    is the negated vector and R(e_i,e_i)e_p is zero, exactly.
+    is the negated vector and R(e_i,e_i)e_p is zero, exactly.  Each of its
+    components is one Poly.dot over the nine products of the contraction.
     """
-    g = conn.gamma
+    g = [[vec.c for vec in row] for row in conn.gamma]  # g[i][j][k] = gamma_ij^k
+    c = [[vec.c for vec in row] for row in spec.c]
     r = [[[Vec3.zero()] * 3 for _ in range(3)] for _ in range(3)]
     for i in range(3):
         for j in range(i + 1, 3):
             for p in range(3):
-                vec = (combine(g[j][p].c, g[i]) - combine(g[i][p].c, g[j])
-                       - combine(spec.c[i][j].c, [g[k][p] for k in range(3)]))
+                vec = Vec3(tuple(
+                    Poly.dot([(g[j][p][k], g[i][k][q]) for k in range(3)],
+                             [(g[i][p][k], g[j][k][q]) for k in range(3)]
+                             + [(c[i][j][k], g[k][p][q]) for k in range(3)])
+                    for q in range(3)
+                ))
                 r[i][j][p] = vec
                 r[j][i][p] = -vec
     return CurvatureTensor(tuple(tuple(tuple(row) for row in plane) for plane in r))

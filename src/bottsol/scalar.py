@@ -28,6 +28,7 @@ PARAMS = ("alpha", "beta", "gamma", "delta", "a0", "mu", "mu1", "mu2", "mu3")
 NVARS = len(PARAMS)
 _INDEX = {name: i for i, name in enumerate(PARAMS)}
 _CONST_EXP = (0,) * NVARS
+_ZERO = Fraction(0)
 
 Exponent = tuple  # length-NVARS tuple of non-negative ints
 
@@ -159,6 +160,33 @@ class Poly:
 
     __rmul__ = __mul__
 
+    @staticmethod
+    def dot(plus: Iterable[tuple], minus: Iterable[tuple] = ()) -> "Poly":
+        """sum a*b over the (Poly, Poly) pairs (a, b) of `plus`, less the same
+        sum over `minus`, accumulated in one exponent -> coefficient dict: no
+        product or partial sum is built as a Poly of its own.  A constant
+        operand adds no exponents, and a coefficient of +1 or -1 multiplies
+        nothing: it only sets the sign of the other operand's coefficients."""
+        out: dict = {}
+        get = out.get
+        for pairs, positive in ((plus, True), (minus, False)):
+            for a, b in pairs:
+                if b.is_constant():
+                    a, b = b, a
+                for e1, c1 in a.terms.items():
+                    shift = e1 != _CONST_EXP
+                    unit = c1 == 1 or c1 == -1
+                    sign = positive == (c1 == 1) if unit else positive
+                    for e2, c2 in b.terms.items():
+                        e = tuple(map(add, e1, e2)) if shift else e2
+                        c = c2 if unit else c1 * c2
+                        old = get(e)
+                        if old is None:
+                            out[e] = c if sign else -c
+                        else:
+                            out[e] = old + c if sign else old - c
+        return Poly._trusted({e: c for e, c in out.items() if c})
+
     def __eq__(self, other) -> bool:
         other = Poly._coerce(other)
         if other is NotImplemented:
@@ -183,7 +211,7 @@ class Poly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ScalarError("not a constant polynomial")
-        return self.terms[_CONST_EXP] if self.terms else Fraction(0)
+        return self.terms[_CONST_EXP] if self.terms else _ZERO
 
     def params(self) -> set:
         used = set()
@@ -203,7 +231,7 @@ class Poly:
     def leading(self) -> tuple:
         """(exponent, coefficient) of the grlex-leading term; zero poly -> ((0,..),0)."""
         if not self.terms:
-            return ((0,) * NVARS, Fraction(0))
+            return (_CONST_EXP, _ZERO)
         e = max(self.terms, key=_grlex_key)
         return e, self.terms[e]
 
@@ -256,12 +284,19 @@ class Poly:
         """Simultaneous substitution; unbound parameters pass through.
 
         Each term's unbound part stays one polynomial term; only the bound
-        values are multiplied in, in parameter order."""
+        values are multiplied in, in parameter order.  When every bound value
+        is a polynomial, the result is too: each term is its unbound part
+        times a product of powers, each power and product computed once, and
+        the terms are summed by one `dot`.  A bound value with a non-constant
+        denominator sends every term through RatFun arithmetic."""
         binds = {}
         for name, value in bindings.items():
             if name not in _INDEX:
                 raise UnknownParameter(f"{name!r} is not in the parameter alphabet {PARAMS}")
             binds[_INDEX[name]] = RatFun.coerce(value)
+        if all(value.is_poly() for value in binds.values()):
+            return RatFun.coerce(self._substitute_polys(
+                {i: value.as_poly() for i, value in binds.items()}))
         total = RatFun.coerce(0)
         for e, c in self.terms.items():
             free = tuple(0 if i in binds else k for i, k in enumerate(e))
@@ -271,6 +306,26 @@ class Poly:
                     term = term * binds[i].pow(k)
             total = total + term
         return total
+
+    def _substitute_polys(self, binds: dict) -> "Poly":
+        """`substitute` for bindings of parameter index -> Poly."""
+        bound = sorted(binds)
+        products: dict = {}  # the bound exponents of a term -> their product of powers
+        powers: dict = {}  # (index, exponent) -> bound value to that power
+        pairs = []
+        for e, c in self.terms.items():
+            key = tuple(e[i] for i in bound)
+            if key not in products:
+                product = _ONE
+                for i, k in zip(bound, key):
+                    if k:
+                        if (i, k) not in powers:
+                            powers[i, k] = _power(binds[i], k, _ONE, Poly.__mul__)
+                        product = product * powers[i, k]
+                products[key] = product
+            free = tuple(0 if i in binds else k for i, k in enumerate(e))
+            pairs.append((Poly._trusted({free: c}), products[key]))
+        return Poly.dot(pairs)
 
     def partial_eval(self, point: Mapping[str, Fraction]) -> "Poly":
         """Substitute the rational values `point` gives; other parameters stay.
@@ -313,18 +368,19 @@ class Poly:
         pieces = []
         for e in sorted(self.terms, key=_grlex_key, reverse=True):
             c = self.terms[e]
+            magnitude = abs(c)
             mono = "*".join(
                 PARAMS[i] if k == 1 else f"{PARAMS[i]}^{k}"
                 for i, k in enumerate(e)
                 if k
             )
             if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
+                body = str(magnitude)
+            elif magnitude == 1:
                 body = mono
             else:
-                body = f"{abs(c)}*{mono}"
-            sign = "-" if c < 0 else "+"
+                body = f"{magnitude}*{mono}"
+            sign = "-" if c.numerator < 0 else "+"
             pieces.append((sign, body))
         first_sign, first_body = pieces[0]
         out = ("-" if first_sign == "-" else "") + first_body

@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 from typing import Mapping, Sequence
 
-from .algebra import METRIC_SIGNS, LieAlgebraSpec, Vec3, combine
+from .algebra import METRIC_SIGNS, LieAlgebraSpec, Vec3
 from .connection import Connection
 from .curvature import BilinearForm
 from .scalar import PARAMS, DenominatorZero, Poly, RatFun, UnboundParameter, poly_div_exact
@@ -31,7 +31,21 @@ _PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 
 
 class ConstraintViolated(Exception):
-    """A sample point breaks an admissibility constraint."""
+    """A sample point breaks an admissibility constraint.
+
+    A refusal at a constraint keeps the constraint and a copy of the point,
+    and formats "<kind> <constraint> fails at <point>" only when printed:
+    sampling refuses thousands of points and reads no message."""
+
+    def __init__(self, message: str, constraint: Poly | None = None, point: dict | None = None):
+        super().__init__(message)
+        self.constraint = constraint
+        self.point = point
+
+    def __str__(self) -> str:
+        if self.constraint is None:
+            return self.args[0]
+        return f"{self.args[0]} {self.constraint} fails at {self.point}"
 
 
 class InconsistentFamily(Exception):
@@ -42,14 +56,18 @@ def lie_derivative_form(conn: Connection, v: Vec3) -> BilinearForm:
     """m[i][j] = g(nabla_{e_i} v, e_j) + g(e_i, nabla_{e_j} v); symmetric.
 
     With nabla_{e_i} v = sum_k v_k gamma[i][k] and g(e_k, e_k) = s_k this is
-    m[i][j] = s_j (nabla_{e_i} v)_j + s_i (nabla_{e_j} v)_i.
+    m[i][j] = s_j (nabla_{e_i} v)_j + s_i (nabla_{e_j} v)_i, one Poly.dot
+    over six products per entry of the upper triangle.
     """
-    s = METRIC_SIGNS
-    nabla_v = [combine(v.c, row).c for row in conn.gamma]
-    return BilinearForm(tuple(
-        tuple(nabla_v[i][j].scaled(s[j]) + nabla_v[j][i].scaled(s[i]) for j in range(3))
-        for i in range(3)
-    ))
+    g = [[vec.c for vec in row] for row in conn.gamma]  # g[i][k][j] = gamma_ik^j
+    m = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            sides = {1: [], -1: []}  # the products summed, and those subtracted
+            sides[METRIC_SIGNS[j]].extend((v.c[k], g[i][k][j]) for k in range(3))
+            sides[METRIC_SIGNS[i]].extend((v.c[k], g[j][k][i]) for k in range(3))
+            m[i][j] = m[j][i] = Poly.dot(sides[1], sides[-1])
+    return BilinearForm(tuple(map(tuple, m)))
 
 
 def soliton_vector() -> Vec3:
@@ -229,10 +247,10 @@ def check_point_admissible(system: SolitonSystem, point: Mapping[str, Fraction])
     equal = system.equality_constraints
     for c, value in zip(equal, values):
         if value:
-            raise ConstraintViolated(f"equality constraint {c} fails at {dict(point)}")
+            raise ConstraintViolated("equality constraint", c, dict(point))
     for c, value in zip(system.nonzero_constraints, values[len(equal):]):
         if not value:
-            raise ConstraintViolated(f"nonzero constraint {c} fails at {dict(point)}")
+            raise ConstraintViolated("nonzero constraint", c, dict(point))
 
 
 # Longest sum written as one expression: Python's compiler recurses once per

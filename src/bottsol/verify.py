@@ -254,15 +254,17 @@ def _spot_check_family(
     count: int,
     seed: int,
 ) -> int:
-    """Instantiate the family at random points that decide_at_point admits and
-    that keep the family's nonzero side conditions; each point must solve
+    """Instantiate the family at random points that keep the family's nonzero
+    side conditions and that decide_at_point admits; each point must solve
     every equation exactly and decide_at_point must find it solvable.
     Returns the number of points checked; raises AssertionError on any
     failure.  The bindings and the nonzero side conditions are evaluated
-    through rows compiled once; the system's integer rows are evaluated once
-    per point, and the same rows are solved by decide_at_point and give the
-    equations' values (_equation_values).  Every value is the polynomial's
-    value times a positive constant."""
+    through rows compiled once, and the side conditions are tested first,
+    so a point that breaks one is neither evaluated nor decided; the
+    system's integer rows are evaluated once per remaining point, and the
+    same rows are solved by decide_at_point and give the equations' values
+    (_equation_values).  Every value is the polynomial's value times a
+    positive constant."""
     binds = family.closed_bindings()
     free_names = [n for n in list(system.parameters) + list(UNKNOWNS) if n not in binds]
     extend = _bound_values(binds)
@@ -279,13 +281,13 @@ def _spot_check_family(
         full = extend(point)
         if full is None:
             continue
+        if not all(nonzero_rows.at(full)[0]):
+            continue
         group_point = {k: v for k, v in full.items() if k not in UNKNOWNS}
         rows = system.integer_rows.at(group_point)
         try:
             verdict = decide_at_point(system, group_point, rows)
         except ConstraintViolated:
-            continue
-        if not all(nonzero_rows.at(full)[0]):
             continue
         for eq, value in zip(system.equations, _equation_values(rows, full)):
             if value:

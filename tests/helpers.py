@@ -6,7 +6,9 @@ fraction-free integer solver, so the two can be compared on any input.
 `reference_at` evaluates compiled integer rows by a plain loop, against
 which the program's generated evaluator is compared, and `ratfun_eval_at`
 evaluates a quotient at a point, against which the compiled family bindings
-are compared.
+are compared.  `combine` sums scaled vectors through Vec3 arithmetic, one
+intermediate Poly per product; the `reference_*` forms built on it are the
+bracket and Lie-derivative formulas the program's `Poly.dot` sums replace.
 """
 
 from fractions import Fraction
@@ -14,6 +16,7 @@ from math import lcm
 
 from bottsol.algebra import GROUPS, METRIC_SIGNS, Vec3, bilinear
 from bottsol.connection import DISTRIBUTIONS
+from bottsol.curvature import BilinearForm
 from bottsol.pipeline import eta_signs
 from bottsol.scalar import DenominatorZero, Poly, RatFun, UnboundParameter
 from bottsol.soliton import UNKNOWNS, IntegerRows, PointVerdict, _solve_integer_rows
@@ -42,6 +45,54 @@ def ratfun_eval_at(r: RatFun, point) -> Fraction:
     if den == 0:
         raise DenominatorZero(f"denominator of {r} vanishes at {dict(point)}")
     return r.num.eval_at(point) / den
+
+
+def combine(coeffs, vecs) -> Vec3:
+    """sum_k coeffs[k] * vecs[k]; zero coefficients are skipped before multiplying."""
+    out = Vec3.zero()
+    for coeff, vec in zip(coeffs, vecs):
+        if not coeff.is_zero():
+            out = out + vec.scale(coeff)
+    return out
+
+
+def reference_bracket(spec, x: Vec3, y: Vec3) -> Vec3:
+    """[x, y] = sum_i x_i sum_j y_j [e_i, e_j], through `combine`."""
+    out = Vec3.zero()
+    for xi, row in zip(x.c, spec.c):
+        if not xi.is_zero():
+            out = out + combine(y.c, row).scale(xi)
+    return out
+
+
+def reference_jacobi_defect(spec) -> Vec3:
+    """The cyclic sum of `algebra.jacobi_defect` through `reference_bracket`."""
+    e1, e2, e3 = Vec3.basis(1), Vec3.basis(2), Vec3.basis(3)
+    return (
+        reference_bracket(spec, reference_bracket(spec, e1, e2), e3)
+        + reference_bracket(spec, reference_bracket(spec, e2, e3), e1)
+        + reference_bracket(spec, reference_bracket(spec, e3, e1), e2)
+    )
+
+
+def reference_lie_derivative_form(conn, v: Vec3) -> BilinearForm:
+    """m[i][j] = s_j (nabla_{e_i} v)_j + s_i (nabla_{e_j} v)_i, with each
+    nabla_{e_i} v a `combine` and all nine entries computed."""
+    s = METRIC_SIGNS
+    nabla_v = [combine(v.c, row).c for row in conn.gamma]
+    return BilinearForm(tuple(
+        tuple(nabla_v[i][j].scaled(s[j]) + nabla_v[j][i].scaled(s[i]) for j in range(3))
+        for i in range(3)
+    ))
+
+
+# G1 at alpha -> 2/3*alpha + 1/2, beta -> -5/4*beta: a Lie algebra outside
+# the catalog whose brackets have rational coefficients.
+RATIONAL_SPEC = """
+[e1,e2] = (2/3*alpha + 1/2)*e1 + 5/4*beta*e3
+[e1,e3] = -(2/3*alpha + 1/2)*e1 + 5/4*beta*e2
+[e2,e3] = -5/4*beta*e1 + (2/3*alpha + 1/2)*e2 + (2/3*alpha + 1/2)*e3
+"""
 
 
 def metric_pair(x: Vec3, y: Vec3) -> Poly:

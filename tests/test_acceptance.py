@@ -175,7 +175,7 @@ def test_criterion_7_property_suite():
             lc = lc_of(spec)
             for i in (1, 2, 3):
                 for j in (1, 2, 3):
-                    torsion = apply(lc, E[i], E[j]) - apply(lc, E[j], E[i])
+                    torsion = apply(lc, E[i], E[j]) + -apply(lc, E[j], E[i])
                     assert torsion == bracket(spec, E[i], E[j])
                     for k in (1, 2, 3):
                         compat = metric_pair(apply(lc, E[i], E[j]), E[k]) + metric_pair(

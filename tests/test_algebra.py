@@ -13,9 +13,16 @@ from bottsol.algebra import (
     parse_custom_file,
     screen_jacobi,
 )
-from bottsol.pipeline import eta_signs
+from bottsol.pipeline import eta_signs, stage
 from bottsol.scalar import Poly, parse_vector
-from helpers import metric_pair
+from bottsol.soliton import soliton_vector
+from helpers import (
+    RATIONAL_SPEC,
+    all_configurations,
+    metric_pair,
+    reference_bracket,
+    reference_jacobi_defect,
+)
 
 
 def V(text):
@@ -84,6 +91,33 @@ class TestBracket:
                 for i in range(3):
                     for j in range(3):
                         assert spec.c[i][j] == -spec.c[j][i]
+
+
+class TestAgainstCombine:
+    """bracket and jacobi_defect sum each component in one Poly.dot; they
+    equal the Vec3 `combine` formulas they replace."""
+
+    @staticmethod
+    def assert_brackets_agree(spec, vectors):
+        for x in vectors:
+            for y in vectors:
+                got, want = bracket(spec, x, y), reference_bracket(spec, x, y)
+                assert [c.terms for c in got.c] == [c.terms for c in want.c], (spec.label, x, y)
+        assert jacobi_defect(spec) == reference_jacobi_defect(spec)
+
+    def test_catalog_configurations(self):
+        for group, dist, perturbed, eta in all_configurations():
+            st = stage(group, dist, perturbed, eta)
+            rows = [vec for row in st.conn.gamma for vec in row if not vec.is_zero()]
+            self.assert_brackets_agree(st.spec, [E1, E2, E3, soliton_vector()] + rows[:4])
+
+    def test_rational_spec_and_a_jacobi_failure(self):
+        spec = parse_custom_file(RATIONAL_SPEC)
+        vectors = [E1, E2, E3, soliton_vector(), V("(2/3*alpha + 1/2)*e1 - 5/4*beta*e3")]
+        self.assert_brackets_agree(spec, vectors)
+        broken = parse_custom_file(RATIONAL_SPEC.replace("[e1,e2] = ", "[e1,e2] = beta^2*e2 + "))
+        assert not jacobi_defect(broken).is_zero()
+        self.assert_brackets_agree(broken, vectors)
 
 
 class TestJacobi:

@@ -34,6 +34,8 @@ PRINT_FORMS = (
 # cases the benchmark's custom workload runs at seed 177147 (its 12 files, each
 # under D, D1 and D2, plain and perturbed, in that order).
 CUSTOM_CASES_DIGEST = "b3b48650f5d2cfd0917d0d08564d2cc1ac45ba30f89200be59807cc2660ff4e8"
+# sha256 of the exit code and text output of `check-custom` on the same 72 cases.
+CUSTOM_TEXT_DIGEST = "e10d5f82b1431befc7dbb4ea0ba09ab5777fa7627fa8c91209fa9e1aeb060c53"
 # sha256 of `bottsol verify-fixture` and of `bottsol verify-fixture --format structured`.
 FIXTURE_TEXT_DIGEST = "0082ecc4fe8e1896bc34f7041202a9e3fa99b10407f2047946c096dfdcd28d62"
 FIXTURE_STRUCTURED_DIGEST = "d646095402e8b090c719198e30e89bef68da75d1e73681fca47f6f4501b27ab0"
@@ -304,6 +306,23 @@ class TestCheckCustom:
                     cases += 1
         assert cases == 72
         assert digest.hexdigest() == CUSTOM_CASES_DIGEST
+
+    def test_benchmark_cases_print_unchanged_text(self, tmp_path, capsys):
+        """The text body joins the equations' strings the structured output
+        holds; every printed system reads as before."""
+        from perfbench import workloads
+
+        workload = workloads.Custom()
+        workload.prepare(177147, tmp_path)
+        digest = hashlib.sha256()
+        for spec in workload.specs:
+            for dist in ("D", "D1", "D2"):
+                for perturbed in (False, True):
+                    argv = ["check-custom", "--spec-file", spec.path, "--distribution", dist,
+                            "--seed", "177147"] + (["--perturbed"] if perturbed else [])
+                    code, out, _ = run(capsys, *argv)
+                    digest.update(f"{code}\n{out}".encode())
+        assert digest.hexdigest() == CUSTOM_TEXT_DIGEST
 
     def test_catalog_rows_give_catalog_systems(self, tmp_path, capsys):
         path = tmp_path / "g1.alg"

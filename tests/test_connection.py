@@ -38,7 +38,7 @@ class TestLeviCivita:
             lc = levi_civita(spec)
             for i in (1, 2, 3):
                 for j in (1, 2, 3):
-                    lhs = apply(lc, E[i], E[j]) - apply(lc, E[j], E[i])
+                    lhs = apply(lc, E[i], E[j]) + -apply(lc, E[j], E[i])
                     assert lhs == bracket(spec, E[i], E[j]), (spec.label, i, j)
 
     def test_metric_compatibility(self):
@@ -107,7 +107,7 @@ class TestPerturb:
                     if vec != pert.row(i, j)
                 ]
                 assert diffs == [(n, n)]
-                delta = pert.row(n, n) - base.row(n, n)
+                delta = pert.row(n, n) + -base.row(n, n)
                 assert delta == Vec3.basis(n).scale(Poly.var("a0"))
 
 

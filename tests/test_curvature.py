@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from bottsol.algebra import Vec3, combine, parse_custom_file, screen_jacobi
+from bottsol.algebra import Vec3, parse_custom_file, screen_jacobi
 from bottsol.connection import DISTRIBUTIONS
 from bottsol.curvature import CurvatureTensor, curvature_delta, riemann, symmetrize
 from bottsol.pipeline import build, eta_signs, stage
 from bottsol.registry import load_fixtures
 from bottsol.scalar import Poly, parse_vector
-from helpers import all_configurations, is_symmetric, power
+from helpers import RATIONAL_SPEC, all_configurations, combine, is_symmetric, power
 
 
 def V(text):
@@ -23,23 +23,14 @@ def reference_riemann(spec, conn) -> CurvatureTensor:
     return CurvatureTensor(tuple(
         tuple(
             tuple(
-                combine(g[j][p].c, g[i]) - combine(g[i][p].c, g[j])
-                - combine(spec.c[i][j].c, [g[k][p] for k in range(3)])
+                combine(g[j][p].c, g[i]) + -combine(g[i][p].c, g[j])
+                + -combine(spec.c[i][j].c, [g[k][p] for k in range(3)])
                 for p in range(3)
             )
             for j in range(3)
         )
         for i in range(3)
     ))
-
-
-# G1 at alpha -> 2/3*alpha + 1/2, beta -> -5/4*beta: a Lie algebra outside
-# the catalog whose brackets have rational coefficients.
-RATIONAL_SPEC = """
-[e1,e2] = (2/3*alpha + 1/2)*e1 + 5/4*beta*e3
-[e1,e3] = -(2/3*alpha + 1/2)*e1 + 5/4*beta*e2
-[e2,e3] = -5/4*beta*e1 + (2/3*alpha + 1/2)*e2 + (2/3*alpha + 1/2)*e3
-"""
 
 
 class TestRiemann:

@@ -63,8 +63,11 @@ class TestSubstitute:
         assert r == RatFun.coerce(P("alpha"))
 
     def test_unbound_parameters_stay_polynomial(self, monkeypatch):
-        """Each term's unbound part is kept as one polynomial term: only the
-        sum of the three terms goes through RatFun.make."""
+        """Each term's unbound part is kept as one polynomial term: with a
+        quotient bound, only the sum of the three terms goes through
+        RatFun.make, and with polynomial bindings nothing does."""
+        p = P("alpha^4*beta^3*gamma*mu1 + delta^2*mu1 - 3")
+        quotient = parse_ratfun("1/mu")
         calls = []
         make = RatFun.make
 
@@ -73,10 +76,13 @@ class TestSubstitute:
             return make(num, den)
 
         monkeypatch.setattr(RatFun, "make", staticmethod(counted))
-        p = P("alpha^4*beta^3*gamma*mu1 + delta^2*mu1 - 3")
-        r = p.substitute({})
+        r = p.substitute({"a0": quotient})
         assert r.den == Poly.const(1) and r.num == p
         assert len(calls) == 3
+        calls.clear()
+        r = p.substitute({})
+        assert r.den == Poly.const(1) and r.num == p
+        assert not calls
 
 
 class TestEval:
@@ -374,6 +380,65 @@ def test_no_stored_zero_coefficient(p, q, k):
     assert (p * q).terms == _schoolbook_product(p, q)
     assert (p * Poly.const(k)).terms == _schoolbook_product(p, Poly.const(k))
     assert p.scaled(1) is p
+
+
+_operands = st.one_of(
+    polys(), _coeffs.map(Poly.const), st.sampled_from((Poly.zero(), Poly.const(1), Poly.const(-1)))
+)
+_pair_lists = st.lists(st.tuples(_operands, _operands), max_size=5)
+
+
+@given(_pair_lists, _pair_lists, st.lists(st.booleans(), max_size=5))
+@settings(max_examples=150, deadline=None)
+@example([(Poly.var("alpha"), Poly.var("beta"))], [], [True])
+def test_dot_is_the_sum_of_products(plus, minus, cancel):
+    """Poly.dot equals the sum built by +, - and *; pairs of `plus` repeated
+    in `minus`, swapped, make sums that cancel, down to the zero polynomial."""
+    minus = minus + [(b, a) for (a, b), repeat in zip(plus, cancel) if repeat]
+    expected = Poly.zero()
+    for a, b in plus:
+        expected = expected + a * b
+    for a, b in minus:
+        expected = expected - a * b
+    for got, want in ((Poly.dot(plus, minus), expected), (Poly.dot(minus, plus), -expected),
+                      (Poly.dot(iter(plus)), Poly.dot(plus, ()))):
+        assert got.terms == want.terms
+        assert _no_stored_zero(got)
+
+
+def test_dot_signs_and_constants():
+    a, b = Poly.var("alpha"), Poly.var("beta")
+    two, half = Poly.const(2), Poly.const(Fraction(1, 2))
+    assert Poly.dot([(a, b), (b, a)], [(a * b, two)]).is_zero()
+    assert Poly.dot([], [(a, two), (Poly.const(3), a), (-a, Poly.const(-1))]) == a.scaled(-6)
+    minus_one = Poly.const(-1)
+    assert Poly.dot([(minus_one, a), (a, half)], [(b, minus_one)]) == b + a.scaled(Fraction(-1, 2))
+    assert Poly.dot([(two, half)], [(Poly.const(1), Poly.const(1))]).is_zero()
+
+
+@given(polys(), polys(), polys())
+@settings(max_examples=80, deadline=None)
+def test_polynomial_bindings_substitute_like_the_ratfun_route(p, x, y):
+    """With every bound value a polynomial, substitute sums in Poly; binding
+    a quotient as well, to a name p does not use, takes the RatFun route,
+    and both give the same form."""
+    bindings = {"alpha": x, "mu1": parse_ratfun(str(y))}
+    fast = p.substitute(bindings)
+    slow = p.substitute({**bindings, "a0": RatFun.make(Poly.const(1), Poly.var("delta"))})
+    assert _same_form(fast, slow)
+    assert fast.den == Poly.const(1) and _no_stored_zero(fast.num)
+    expected = Poly.zero()
+    for e, c in p.terms.items():
+        free = tuple(0 if name in ("alpha", "mu1") else k for name, k in zip(scalar.PARAMS, e))
+        term = Poly({free: c}) * power(x, e[scalar.PARAMS.index("alpha")])
+        expected = expected + term * power(y, e[scalar.PARAMS.index("mu1")])
+    assert fast.num.terms == expected.terms
+
+
+def test_zero_polynomial_values_share_one_zero():
+    zero = Poly.zero()
+    assert zero.constant_value() == 0 and zero.leading() == ((0,) * scalar.NVARS, 0)
+    assert zero.constant_value() is Poly.zero().constant_value() is zero.leading()[1]
 
 
 # -- printing and parsing --------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bottsol.algebra import Vec3, custom_spec
+from bottsol.algebra import Vec3, custom_spec, parse_custom_file
 from bottsol.pipeline import build, stage
 from bottsol.scalar import Poly, parse_poly, parse_ratfun
 from bottsol.soliton import (
@@ -19,8 +19,15 @@ from bottsol.soliton import (
     lie_derivative_form,
     random_points,
     sample_plan,
+    soliton_vector,
 )
-from helpers import all_configurations, is_symmetric, solve_affine
+from helpers import (
+    RATIONAL_SPEC,
+    all_configurations,
+    is_symmetric,
+    reference_lie_derivative_form,
+    solve_affine,
+)
 
 F = Fraction
 
@@ -50,6 +57,21 @@ class TestLieDerivativeForm:
     def test_always_symmetric(self):
         for group, dist, perturbed, eta in all_configurations():
             assert is_symmetric(stage(group, dist, perturbed, eta).lie_derivative)
+
+    def test_equals_the_combine_formula(self):
+        """Each entry is one Poly.dot; it equals the Vec3 `combine` formula
+        it replaces, on the catalog and on a spec with rational brackets."""
+        stages = [stage(*config) for config in all_configurations()]
+        spec = parse_custom_file(RATIONAL_SPEC)
+        stages += [build(spec, dist, perturbed) for dist in ("D", "D1", "D2")
+                   for perturbed in (False, True)]
+        def terms(form):
+            return [[p.terms for p in row] for row in form.m]
+
+        for st in stages:
+            for v in (soliton_vector(), Vec3.of(Fraction(1, 2), Poly.var("mu2"), -3)):
+                got = lie_derivative_form(st.conn, v)
+                assert terms(got) == terms(reference_lie_derivative_form(st.conn, v))
 
 
 class TestBuildSystem:
@@ -184,6 +206,25 @@ class TestDecideAtPoint:
                            r"\{'alpha': Fraction\(1, 1\), 'beta': Fraction\(0, 1\), "
                            r"'a0': Fraction\(0, 1\)\}$"):
             decide_at_point(system, {"alpha": F(1), "beta": F(0), "a0": F(0)})
+
+    def test_a_refusal_formats_its_message_only_when_printed(self, monkeypatch):
+        system = stage("G5", "D").system
+        point = {"alpha": F(1), "beta": F(1), "gamma": F(1), "delta": F(1)}
+
+        def unprinted(poly):
+            raise AssertionError("a constraint was printed")
+
+        monkeypatch.setattr(Poly, "__str__", unprinted)
+        with pytest.raises(ConstraintViolated) as refused:
+            decide_at_point(system, point)
+        exc = refused.value
+        assert exc.constraint is system.equality_constraints[0]
+        assert exc.point == point and exc.point is not point
+        point["alpha"] = F(7)
+        monkeypatch.undo()
+        assert str(exc) == ("equality constraint alpha*gamma + beta*delta fails at {'alpha': "
+                            "Fraction(1, 1), 'beta': Fraction(1, 1), 'gamma': Fraction(1, 1), "
+                            "'delta': Fraction(1, 1)}")
 
     def test_a0_is_a_nonzero_constraint(self):
         """A perturbed system lists a0 last among its nonzero constraints, and

@@ -467,6 +467,44 @@ def test_a_spot_check_evaluates_the_system_once_per_point(theorems, monkeypatch)
     assert len(decided) >= 25 and evaluated == decided
 
 
+def test_a_spot_check_decides_only_points_that_keep_the_side_conditions(theorems, monkeypatch):
+    """The family's nonzero side conditions are tested before a point's rows
+    are evaluated and decided: decide_at_point sees only the drawn points
+    that keep them, and the points counted are those of these that
+    admission accepts, in the order drawn."""
+    rec = theorems["3.4"]
+    system = pipeline.stage(rec.group, rec.distribution, rec.perturbed).system
+    (family,) = [_family_from_record(fam, None, completed=False)
+                 for fam in rec.claims[0].families if fam.label == "2"]
+    assert [str(p) for p in family.side_nonzero] == ["mu1", "delta"]
+    drawn, decided, counted = [], [], []
+    draw, decide = verify.draw_points, verify.decide_at_point
+
+    def recorded_draws(*args):
+        for point in draw(*args):
+            drawn.append(dict(point))
+            yield point
+
+    def recorded_decide(system, point, rows):
+        decided.append(point)
+        verdict = decide(system, point, rows)
+        counted.append(point)
+        return verdict
+
+    monkeypatch.setattr(verify, "draw_points", recorded_draws)
+    monkeypatch.setattr(verify, "decide_at_point", recorded_decide)
+    assert _spot_check_family(system, family, 25, 177147) == 25
+    binds = family.closed_bindings()
+    kept = []
+    for point in drawn:
+        full = {**point, **{name: ratfun_eval_at(value, point) for name, value in binds.items()}}
+        if all(p.eval_at(full) for p in family.side_nonzero):
+            kept.append({k: v for k, v in full.items() if k not in UNKNOWNS})
+    assert len(kept) < len(drawn)
+    assert decided == kept
+    assert counted == [point for point in kept if soliton._admissible(system, point)]
+
+
 def test_each_source_is_compiled_once_until_the_stages_are_cleared(theorems, monkeypatch):
     """A default-count pass over the 45 records compiles each generated
     source text once, however many row sets generate it;

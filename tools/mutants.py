@@ -51,7 +51,7 @@ SWAPS = {
 EQUIVALENT = {
     ("scalar", "Poly.primitive", "if p.leading()[1] < 0:", "<", "<="):
         "a leading coefficient is never zero",
-    ("scalar", "Poly.__str__", 'sign = "-" if c < 0 else "+"', "<", "<="):
+    ("scalar", "Poly.__str__", 'sign = "-" if c.numerator < 0 else "+"', "<", "<="):
         "a stored coefficient is never zero",
     ("scalar", "_ExprParser._combine", "c = c if sign > 0 else -c", ">", ">="):
         "sign is +1 or -1, never zero",

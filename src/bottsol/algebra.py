@@ -238,20 +238,17 @@ def content_lines(text: str):
 
 def parse_custom_file(text: str) -> LieAlgebraSpec:
     rows: dict = {}
-    eq: list = []
-    nz: list = []
+    constraints: dict = {"require_zero": [], "require_nonzero": []}
     # Curvature multiplies connection coefficients, each linear in the
     # structure constants, so its products grow like the square of their size.
     # Each row fills two antisymmetric entries of c.
     terms = 0
     for lineno, line in content_lines(text):
         try:
-            if line.startswith("require_zero"):
-                eq.append(parse_poly(line[len("require_zero"):].strip()))
-                _unreserved(eq[-1:], lineno)
-            elif line.startswith("require_nonzero"):
-                nz.append(parse_poly(line[len("require_nonzero"):].strip()))
-                _unreserved(nz[-1:], lineno)
+            word, *rest = line.split(None, 1)
+            if word in constraints:
+                constraints[word].append(parse_poly("".join(rest)))
+                _unreserved(constraints[word][-1:], lineno)
             else:
                 lhs, _, rhs = line.partition("=")
                 key = lhs.replace(" ", "")
@@ -273,4 +270,4 @@ def parse_custom_file(text: str) -> LieAlgebraSpec:
     missing = set(_ROW_KEYS) - set(rows)
     if missing:
         raise InvalidAlgebra(f"missing bracket rows: {sorted(missing)}")
-    return custom_spec(rows, eq, nz)
+    return custom_spec(rows, constraints["require_zero"], constraints["require_nonzero"])

@@ -296,7 +296,7 @@ def _cmd_verify_all(args) -> int:
 
 def _cmd_check_custom(args) -> int:
     try:
-        with open(args.spec_file, "r", encoding="utf-8") as handle:
+        with open(args.spec_file, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.spec_file}: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ above, which makes printed forms and golden fixtures byte-stable.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -542,6 +543,11 @@ class RatFun:
 # Names are the nine parameters; 'eta' is admitted only when a numeric value
 # for it is supplied (it is substituted during parsing, so it never reaches a
 # Poly); e1/e2/e3 are admitted only through parse_vector.
+#
+# _TOKEN splits text into operators, ASCII digit runs, names and single
+# other characters, skipping white space.  Each token must be an operator or
+# start with an ASCII digit, a letter or '_', which also refuses '²', '½' and
+# 'Ⅻ': [^\W\d] admits them, but they are neither digits nor letters.
 # --------------------------------------------------------------------------
 
 _BASIS = ("e1", "e2", "e3")
@@ -549,6 +555,8 @@ _BASIS = ("e1", "e2", "e3")
 # Largest product the parser expands: the operands' term counts (numerator
 # plus denominator, over all basis components) multiplied together.
 MAX_PRODUCT_TERMS = 200_000
+
+_TOKEN = re.compile(r"[+\-*/^()]|[0-9]+|[^\W\d]\w*|\S")
 
 
 def _uint(tok: str) -> int:
@@ -575,44 +583,6 @@ def _size(value) -> int:
     return sum(len(num.terms) + len(den.terms) for num, den in map(_parts, value.values()))
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.toks = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch in "+-*/^()":
-                self.toks.append(ch)
-                i += 1
-            elif "0" <= ch <= "9":  # str.isdigit() also admits '²', which int() refuses
-                j = i
-                while j < len(text) and "0" <= text[j] <= "9":
-                    j += 1
-                self.toks.append(text[i:j])
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.toks.append(text[i:j])
-                i = j
-            else:
-                raise ParseError(f"unexpected character {ch!r} in {text!r}")
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-
 class _ExprParser:
     """Parses into polynomials over PARAMS extended by e1,e2,e3 tracked separately.
 
@@ -623,23 +593,39 @@ class _ExprParser:
     """
 
     def __init__(self, text: str, eta=None, vector=False):
-        self.toks = _Tokens(text)
+        self.toks = _TOKEN.findall(text)
+        for tok in self.toks:
+            ch = tok[0]
+            if not (ch in "+-*/^()" or "0" <= ch <= "9" or ch.isalpha() or ch == "_"):
+                raise ParseError(f"unexpected character {ch!r} in {text!r}")
+        self.toks.append(None)  # the end marker peek() returns
+        self.pos = 0
         self.eta = None if eta is None else Fraction(eta)
         self.vector = vector
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def next(self):
+        tok = self.toks[self.pos]
+        if tok is None:
+            raise ParseError("unexpected end of expression")
+        self.pos += 1
+        return tok
 
     def parse(self):
         try:
             value = self._expr()
         except RecursionError:
             raise ParseError("expression nested too deeply") from None
-        if self.toks.peek() is not None:
-            raise ParseError(f"trailing input at token {self.toks.peek()!r}")
+        if self.peek() is not None:
+            raise ParseError(f"trailing input at token {self.peek()!r}")
         return value
 
     def _expr(self):
         value = self._term()
-        while self.toks.peek() in ("+", "-"):
-            op = self.toks.next()
+        while self.peek() in ("+", "-"):
+            op = self.next()
             rhs = self._term()
             value = self._combine(value, rhs, 1 if op == "+" else -1)
         return value
@@ -654,8 +640,8 @@ class _ExprParser:
 
     def _term(self):
         value = self._factor()
-        while self.toks.peek() in ("*", "/"):
-            op = self.toks.next()
+        while self.peek() in ("*", "/"):
+            op = self.next()
             rhs = self._factor()
             value = self._mul(value, rhs, invert=(op == "/"))
         return value
@@ -684,14 +670,14 @@ class _ExprParser:
         return {k: c for k, c in out.items() if not c.is_zero()}
 
     def _factor(self):
-        if self.toks.peek() == "-":
-            self.toks.next()
+        if self.peek() == "-":
+            self.next()
             inner = self._factor()
             return {k: -c for k, c in inner.items()}
         value = self._atom()
-        if self.toks.peek() == "^":
-            self.toks.next()
-            exp_tok = self.toks.next()
+        if self.peek() == "^":
+            self.next()
+            exp_tok = self.next()
             if not exp_tok.isdigit():
                 raise ParseError(f"exponent must be a non-negative integer, got {exp_tok!r}")
             n = _uint(exp_tok)
@@ -704,10 +690,10 @@ class _ExprParser:
         return value
 
     def _atom(self):
-        tok = self.toks.next()
+        tok = self.next()
         if tok == "(":
             inner = self._expr()
-            if self.toks.next() != ")":
+            if self.next() != ")":
                 raise ParseError("missing closing parenthesis")
             return inner
         if tok.isdigit():

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import METRIC_SIGNS, LieAlgebraSpec, Vec3
 from .connection import Connection
@@ -168,6 +168,7 @@ class SolutionFamily:
     side_equal: tuple = ()
     side_nonzero: tuple = ()
 
+    @cached_property
     def closed_bindings(self) -> dict:
         """Iterate substitution until no bound name appears in any value."""
         values = {name: RatFun.coerce(val) for name, val in self.bindings}
@@ -186,6 +187,11 @@ class SolutionFamily:
                 return values
         raise InconsistentFamily(f"family {self.label}: cyclic bindings")
 
+    def reduced(self, polys: Iterable[Poly]) -> list:
+        """The numerators of polys under the closed bindings, zeros dropped."""
+        binds = self.closed_bindings
+        return [r.num for r in (p.substitute(binds) for p in polys) if not r.is_zero()]
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -202,12 +208,8 @@ def _reduces_to_zero(numerator: Poly, side_polys: Sequence[Poly]) -> bool:
 
 
 def check_family(system: SolitonSystem, family: SolutionFamily) -> Verdict:
-    binds = family.closed_bindings()
-    side_eq = []
-    for p in family.side_equal:
-        r = p.substitute(binds)
-        if not r.is_zero():
-            side_eq.append(r.num)
+    binds = family.closed_bindings
+    side_eq = family.reduced(family.side_equal)
     for p in family.side_nonzero:
         if p.substitute(binds).is_zero():
             raise InconsistentFamily(

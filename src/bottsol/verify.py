@@ -265,16 +265,12 @@ def _spot_check_family(
     same rows are solved by decide_at_point and give the equations' values
     (_equation_values).  Every value is the polynomial's value times a
     positive constant."""
-    binds = family.closed_bindings()
+    binds = family.closed_bindings
     free_names = [n for n in list(system.parameters) + list(UNKNOWNS) if n not in binds]
     extend = _bound_values(binds)
     nonzero_rows = IntegerRows.of([family.side_nonzero])
 
-    reduced_eqs = []
-    for poly in list(system.equality_constraints) + list(family.side_equal):
-        r = poly.substitute(binds)
-        if not r.is_zero():
-            reduced_eqs.append(r.num)
+    reduced_eqs = family.reduced(system.equality_constraints + family.side_equal)
 
     done = 0
     for point in draw_points(reduced_eqs, free_names, seed, count * 500):

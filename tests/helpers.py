@@ -9,6 +9,8 @@ evaluates a quotient at a point, against which the compiled family bindings
 are compared.  `combine` sums scaled vectors through Vec3 arithmetic, one
 intermediate Poly per product; the `reference_*` forms built on it are the
 bracket and Lie-derivative formulas the program's `Poly.dot` sums replace.
+`reference_tokens` splits an expression by a character loop, against which
+the parser's one-pattern scanner is compared.
 """
 
 from fractions import Fraction
@@ -18,7 +20,7 @@ from bottsol.algebra import GROUPS, METRIC_SIGNS, Vec3, bilinear
 from bottsol.connection import DISTRIBUTIONS
 from bottsol.curvature import BilinearForm
 from bottsol.pipeline import eta_signs
-from bottsol.scalar import DenominatorZero, Poly, RatFun, UnboundParameter
+from bottsol.scalar import DenominatorZero, ParseError, Poly, RatFun, UnboundParameter
 from bottsol.soliton import UNKNOWNS, IntegerRows, PointVerdict, _solve_integer_rows
 
 
@@ -175,3 +177,33 @@ def reference_at(rows: IntegerRows, point) -> list:
             entries.append(entry)
         out.append(entries)
     return out
+
+
+def reference_tokens(text: str) -> list:
+    """The tokens of an expression, one character at a time: operators, runs
+    of ASCII digits, and names (a letter or '_', then letters, digits and
+    '_'); white space is skipped and any other character is refused."""
+    toks = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "+-*/^()":
+            toks.append(ch)
+            i += 1
+        elif "0" <= ch <= "9":  # str.isdigit() also admits '²', which int() refuses
+            j = i
+            while j < len(text) and "0" <= text[j] <= "9":
+                j += 1
+            toks.append(text[i:j])
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(text[i:j])
+            i = j
+        else:
+            raise ParseError(f"unexpected character {ch!r} in {text!r}")
+    return toks

@@ -255,6 +255,38 @@ class TestCheckCustom:
         code, _, err = run(capsys, "check-custom", "--spec-file", str(path))
         assert code == EX_USAGE and "invalid algebra: line 1" in err
 
+    @pytest.mark.parametrize("row, message", [
+        ("2%e3", "unexpected character '%' in ' 2%e3'"),
+        ("e3 +", "unexpected end of expression"),
+        ("e3)", "trailing input at token ')'"),
+    ])
+    def test_malformed_row_is_input_error(self, tmp_path, capsys, row, message):
+        path = tmp_path / "malformed.alg"
+        path.write_text(f"[e1,e3] = 0\n[e2,e3] = 0\n[e1,e2] = {row}\n")
+        code, out, err = run(capsys, "check-custom", "--spec-file", str(path))
+        assert code == EX_USAGE and out == ""
+        assert err == f"invalid algebra: line 3: {message}\n"
+
+    @pytest.mark.parametrize("line", ["require_nonzerogamma", "require_zeroalpha-alpha"])
+    def test_keyword_glued_to_its_argument_is_input_error(self, tmp_path, capsys, line):
+        path = tmp_path / "glued.alg"
+        path.write_text(self.GOOD.replace("require_nonzero gamma", line))
+        code, out, err = run(capsys, "check-custom", "--spec-file", str(path))
+        assert code == EX_USAGE and out == ""
+        assert err == "invalid algebra: line 4: expected '[ei,ej] = <vector>'\n"
+
+    @pytest.mark.parametrize("spelling", [
+        GOOD.replace("require_nonzero gamma", "require_nonzero\tgamma").encode(),
+        b"\xef\xbb\xbf" + GOOD.encode(),
+    ], ids=["tab after keyword", "byte-order mark"])
+    def test_same_table_prints_the_same_output(self, tmp_path, capsys, spelling):
+        path = tmp_path / "heis.alg"
+        path.write_text(self.GOOD)
+        expected = run(capsys, "check-custom", "--spec-file", str(path))
+        path.write_bytes(spelling)
+        assert run(capsys, "check-custom", "--spec-file", str(path)) == expected
+        assert expected[0] == 0
+
     def test_reserved_name_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "reserved.alg"
         path.write_text("[e1,e2] = a0*e1\n[e1,e3] = 0\n[e2,e3] = 0\n")

@@ -19,7 +19,7 @@ from bottsol.scalar import (
     parse_vector,
     poly_div_exact,
 )
-from helpers import power, ratfun_eval_at
+from helpers import power, ratfun_eval_at, reference_tokens
 
 
 def P(text):
@@ -488,3 +488,38 @@ def test_parser_fuzz_tokens(tokens, eta):
 @example("1" * 5000, None)
 def test_parser_fuzz_text(text, eta):
     _parse_all_ways(text, eta)
+
+
+# -- the scanner -------------------------------------------------------------------
+
+
+def _scanned(scan, text):
+    """The tokens of text, or the message of the ParseError that refuses it."""
+    try:
+        return scan(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _parser_tokens(text):
+    toks = scalar._ExprParser(text).toks
+    assert toks[-1] is None  # the end marker
+    return toks[:-1]
+
+
+# Digits, letters and spaces outside ASCII, and ASCII literals at both ends
+# of the digit range.
+_SCAN_CHARS = ("²", "½", "Ⅻ", "٣", "\u0301", "\u00a0", "\u3000", "\u200b", "é", "α", "_", "%",
+               "0", "9", "07", "90")
+
+
+@pytest.mark.parametrize("ch", _SCAN_CHARS)
+def test_scanner_matches_the_character_loop(ch):
+    for text in (ch, "a" + ch, ch + "a", "1" + ch):
+        assert _scanned(_parser_tokens, text) == _scanned(reference_tokens, text)
+
+
+@given(st.text(max_size=24))
+@settings(max_examples=300, deadline=None)
+def test_scanner_matches_the_character_loop_on_any_text(text):
+    assert _scanned(_parser_tokens, text) == _scanned(reference_tokens, text)

@@ -306,7 +306,7 @@ def _claim_families():
                     for completed in sorted({False, fam.has_completion()}):
                         family = _family_from_record(fam, eta, completed)
                         try:
-                            binds = family.closed_bindings()
+                            binds = family.closed_bindings
                         except InconsistentFamily:
                             continue
                         yield system, family, binds
@@ -494,7 +494,7 @@ def test_a_spot_check_decides_only_points_that_keep_the_side_conditions(theorems
     monkeypatch.setattr(verify, "draw_points", recorded_draws)
     monkeypatch.setattr(verify, "decide_at_point", recorded_decide)
     assert _spot_check_family(system, family, 25, 177147) == 25
-    binds = family.closed_bindings()
+    binds = family.closed_bindings
     kept = []
     for point in drawn:
         full = {**point, **{name: ratfun_eval_at(value, point) for name, value in binds.items()}}

@@ -15,7 +15,7 @@ working directory: pyproject.toml puts <rootdir>/src ahead of PYTHONPATH, so
 tests run from this checkout would import the unmutated code.  Tier-1 runs
 with -x, two mutants at a time, and a mutant whose run outlasts a few times
 the unmutated run is killed, with its whole process group, and counts as
-detected.  On two cores the full run takes 20 to 25 minutes.
+detected.  On two cores the full run takes 11 to 25 minutes.
 """
 
 from __future__ import annotations

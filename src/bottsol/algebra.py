@@ -251,7 +251,7 @@ def parse_custom_file(text: str) -> LieAlgebraSpec:
                 _unreserved(constraints[word][-1:], lineno)
             else:
                 lhs, _, rhs = line.partition("=")
-                key = lhs.replace(" ", "")
+                key = "".join(lhs.split())
                 if key not in _BRACKET_KEYS or not rhs.strip():
                     raise InvalidAlgebra(f"line {lineno}: expected '[ei,ej] = <vector>'")
                 if _BRACKET_KEYS[key] in rows:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import algebra, connection, curvature, soliton
+from . import algebra, connection, curvature, registry, soliton
 from .algebra import LieAlgebraSpec
 from .connection import Connection
 from .curvature import BilinearForm, CurvatureTensor
@@ -72,12 +72,13 @@ def stage(group: str, dist_name: str, perturbed: bool = False, eta_sign: int | N
 
 
 def _cache_clear() -> None:
-    """Empty the stage cache, the per-algebra cache behind it and the code
-    objects compiled for the stages' systems, so the next stages start as a
-    fresh process does."""
+    """Empty the stage cache, the per-algebra cache behind it, the code
+    objects compiled for the stages' systems and the parsed stored
+    expressions, so the next run starts as a fresh process does."""
     _catalog_stage.cache_clear()
     _catalog_algebra.cache_clear()
     soliton._code.cache_clear()
+    registry.parsed.cache_clear()
 
 
 stage.cache_clear = _cache_clear

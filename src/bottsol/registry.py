@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import lru_cache
 from importlib import resources
 
+from . import scalar
 from .algebra import GROUPS, Vec3, content_lines
 from .connection import DISTRIBUTIONS
-from .scalar import parse_poly, parse_vector
 
 _UPPER_PAIRS = tuple((i, j) for i in (1, 2, 3) for j in range(i, 4))
 
@@ -67,6 +68,17 @@ class RegistryError(Exception):
     pass
 
 
+@lru_cache(maxsize=None)
+def parsed(parser: str, text: str, eta=None):
+    """`scalar.<parser>(text, eta=eta)`, parsed once per distinct stored text
+    and G4 sign.  Table rows and theorem lines repeat the same expressions
+    many times; the values are immutable, so every load shares them.  The
+    parser is looked up on `scalar` at each miss, so a wrapper put there
+    sees every parse.  pipeline.stage.cache_clear empties this cache with
+    the stages.  check-custom input never comes through here."""
+    return getattr(scalar, parser)(text, eta=eta)
+
+
 @dataclass(frozen=True)
 class Fixture:
     id: str
@@ -81,9 +93,9 @@ class Fixture:
         mirrored kind's i <= j half is filled out to the full 3x3."""
         kind = TABLE_KINDS[self.kind]
         if kind.vector:
-            out = {key: Vec3(parse_vector(expr, eta=eta)) for key, expr in self.rows}
+            out = {key: Vec3(parsed("parse_vector", expr, eta)) for key, expr in self.rows}
         else:
-            out = {key: parse_poly(expr, eta=eta) for key, expr in self.rows}
+            out = {key: parsed("parse_poly", expr, eta) for key, expr in self.rows}
         if kind.mirrored:
             for (i, j), val in list(out.items()):
                 out.setdefault((j, i), val)
@@ -92,7 +104,7 @@ class Fixture:
     curvature_table = bilinear_table = delta_table = connection_table
 
     def system_equations(self, eta=None) -> list:
-        return [parse_poly(expr, eta=eta) for _, expr in self.rows]
+        return [parsed("parse_poly", expr, eta) for _, expr in self.rows]
 
 
 def _data_text(relpath: str) -> str:

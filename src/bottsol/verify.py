@@ -22,8 +22,7 @@ from math import lcm
 from operator import mul
 
 from . import pipeline, registry
-from .registry import FamilyRecord, Fixture, TheoremRecord
-from .scalar import parse_poly, parse_ratfun
+from .registry import FamilyRecord, Fixture, TheoremRecord, parsed
 from .soliton import (
     DEFAULT_SEED,
     UNKNOWNS,
@@ -72,23 +71,23 @@ class FixtureReport:
     elapsed_ms: float = 0.0
 
 
-def _canonical_system(polys) -> list:
-    return sorted(str(p.primitive()) for p in polys if not p.is_zero())
-
-
 def _key_str(key) -> str:
     return ",".join(str(k) for k in key)
 
 
+def _primitive_set(polys) -> set:
+    return {p.primitive() for p in polys if not p.is_zero()}
+
+
 def _diff_system(expected: list, computed: tuple) -> list:
-    expected = _canonical_system(expected)
-    computed = _canonical_system(computed)
-    diffs = []
-    for extra in sorted(set(expected) - set(computed)):
-        diffs.append(EntryDiff("equations", extra, "(no matching equation)"))
-    for extra in sorted(set(computed) - set(expected)):
-        diffs.append(EntryDiff("equations", "(no matching equation)", extra))
-    return diffs
+    """The equations on one side only, compared as primitive polynomials; only
+    those are printed, sorted by their printed form, which is one to one on
+    primitive polynomials."""
+    expected, computed = _primitive_set(expected), _primitive_set(computed)
+    return ([EntryDiff("equations", text, "(no matching equation)")
+             for text in sorted(map(str, expected - computed))]
+            + [EntryDiff("equations", "(no matching equation)", text)
+               for text in sorted(map(str, computed - expected))])
 
 
 def _diff_delta(expected: dict, computed: dict, base: dict) -> list:
@@ -213,9 +212,9 @@ def _family_from_record(rec: FamilyRecord, eta, completed: bool) -> SolutionFami
     side_nz = list(rec.side_nonzero) + (list(rec.completion_nonzero) if completed else [])
     return SolutionFamily(
         label=rec.label,
-        bindings=tuple((name, parse_ratfun(expr, eta=eta)) for name, expr in bindings),
-        side_equal=tuple(parse_poly(expr, eta=eta) for expr in side_eq),
-        side_nonzero=tuple(parse_poly(expr, eta=eta) for expr in side_nz),
+        bindings=tuple((name, parsed("parse_ratfun", expr, eta)) for name, expr in bindings),
+        side_equal=tuple(parsed("parse_poly", expr, eta) for expr in side_eq),
+        side_nonzero=tuple(parsed("parse_poly", expr, eta) for expr in side_nz),
     )
 
 

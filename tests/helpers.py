@@ -10,7 +10,9 @@ are compared.  `combine` sums scaled vectors through Vec3 arithmetic, one
 intermediate Poly per product; the `reference_*` forms built on it are the
 bracket and Lie-derivative formulas the program's `Poly.dot` sums replace.
 `reference_tokens` splits an expression by a character loop, against which
-the parser's one-pattern scanner is compared.
+the parser's one-pattern scanner is compared.  `reference_diff_system`
+compares two equation lists by their printed primitive forms, against which
+the value-based system diff is compared.
 """
 
 from fractions import Fraction
@@ -22,6 +24,7 @@ from bottsol.curvature import BilinearForm
 from bottsol.pipeline import eta_signs
 from bottsol.scalar import DenominatorZero, ParseError, Poly, RatFun, UnboundParameter
 from bottsol.soliton import UNKNOWNS, IntegerRows, PointVerdict, _solve_integer_rows
+from bottsol.verify import EntryDiff
 
 
 def all_configurations():
@@ -207,3 +210,16 @@ def reference_tokens(text: str) -> list:
         else:
             raise ParseError(f"unexpected character {ch!r} in {text!r}")
     return toks
+
+
+def reference_diff_system(expected: list, computed: tuple) -> list:
+    """The equations on one side only, found by printing every nonzero
+    equation of both sides in primitive form and comparing the strings."""
+    expected = sorted(str(p.primitive()) for p in expected if not p.is_zero())
+    computed = sorted(str(p.primitive()) for p in computed if not p.is_zero())
+    diffs = []
+    for extra in sorted(set(expected) - set(computed)):
+        diffs.append(EntryDiff("equations", extra, "(no matching equation)"))
+    for extra in sorted(set(computed) - set(expected)):
+        diffs.append(EntryDiff("equations", "(no matching equation)", extra))
+    return diffs

@@ -217,3 +217,11 @@ class TestCustomFile:
         text = "[e1,e2] = e3\n[e1,e2] = e2\n[e1,e3] = 0\n[e2,e3] = 0"
         with pytest.raises(InvalidAlgebra):
             parse_custom_file(text)
+
+    @pytest.mark.parametrize("row", ["[e1,e2]\t= gamma*e3", "[e1,\te2] = gamma*e3"])
+    def test_tab_in_a_bracket_key(self, row):
+        """A key is read with all white space removed, tabs as well as spaces,
+        as a tab after a require_* keyword already is."""
+        spec = parse_custom_file(self.GOOD.replace("[e1,e2] = gamma*e3", row))
+        assert spec.bracket_basis(1, 2) == V("gamma*e3")
+        assert spec == parse_custom_file(self.GOOD)

@@ -84,12 +84,14 @@ def test_shared_loader_keeps_per_name_attribution():
 def test_stored_tables_parse_without_normalising():
     """No stored table has a non-constant denominator, so loading every table
     through its fixture loader at each G4 sign must keep to the polynomial
-    fast path: RatFun.make and poly_div_exact are never called."""
+    fast path: RatFun.make and poly_div_exact are never called.  The parse
+    memo is emptied first, so every table is parsed here."""
     from collections import Counter
 
     from bottsol import pipeline, registry
 
     fixtures = registry.load_fixtures()
+    pipeline.stage.cache_clear()
     counts: Counter = Counter()
     patches = tracing.Patches()
     tracing.install_op_counters(patches, counts)
@@ -102,3 +104,35 @@ def test_stored_tables_parse_without_normalising():
         patches.restore()
     assert counts["scalar.Fraction.__new__"] > 0  # the counters were live
     assert counts["scalar.RatFun.make"] == counts["scalar.poly_div_exact"] == 0
+
+
+def test_parser_spans_see_each_distinct_stored_row_once():
+    """The loaders parse through the module attribute the benchmark wraps:
+    after a clear, a counter on scalar.parse_vector sees one call per
+    distinct (text, G4 sign) among the vector rows, and none on a second
+    load of every table."""
+    from bottsol import pipeline, registry
+
+    fixtures = registry.load_fixtures()
+    loads = [(fix, eta) for fix in fixtures for eta in pipeline.eta_signs(fix.group)]
+    distinct = {(expr, eta) for fix, eta in loads if registry.TABLE_KINDS[fix.kind].vector
+                for _, expr in fix.rows}
+    calls = []
+
+    def make_counter(func):
+        def counted(text, eta=None):
+            calls.append((text, eta))
+            return func(text, eta=eta)
+
+        return counted
+
+    pipeline.stage.cache_clear()
+    patches = tracing.Patches()
+    patches.replace("scalar.parse_vector", make_counter)
+    try:
+        for _ in range(2):
+            for fix, eta in loads:
+                getattr(fix, registry.TABLE_KINDS[fix.kind].loader)(eta=eta)
+    finally:
+        patches.restore()
+    assert len(calls) == len(set(calls)) and set(calls) == distinct

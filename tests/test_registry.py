@@ -1,4 +1,5 @@
 import hashlib
+import operator
 
 import pytest
 
@@ -156,3 +157,51 @@ def test_family_parses_are_unchanged():
                     digest.update(f"{rec.id} {fam.label} {eta} "
                                   f"{canon(parse_poly(expr, eta=eta))}\n".encode())
     assert digest.hexdigest() == FAMILY_PARSE_DIGEST
+
+
+# -- the per-run memo of parsed stored expressions ---------------------------
+
+
+def test_clearing_the_stages_empties_the_parse_memo():
+    from bottsol import pipeline
+
+    fixture = next(fix for fix in registry.load_fixtures() if fix.kind == "bott")
+    fixture.connection_table()
+    assert registry.parsed.cache_info().currsize > 0
+    pipeline.stage.cache_clear()
+    assert registry.parsed.cache_info().currsize == 0
+
+
+def test_check_custom_input_stays_out_of_the_parse_memo(tmp_path, capsys):
+    """check-custom parses its file straight through scalar, as a one-shot
+    process does; the memo is neither read nor filled."""
+    from bottsol import cli
+
+    path = tmp_path / "heisenberg.alg"
+    path.write_text("[e1,e2] = gamma*e3\n[e1,e3] = 0\n[e2,e3] = 0\nrequire_nonzero gamma\n")
+    before = registry.parsed.cache_info()
+    assert cli.main(["check-custom", "--spec-file", str(path), "--distribution", "D1"]) == 0
+    assert "mu" in capsys.readouterr().out
+    assert registry.parsed.cache_info() == before
+
+
+@pytest.mark.parametrize("kind", ["bott", "sym_ricci", "lie_derivative", "system"])
+def test_a_second_load_is_a_fresh_container_of_shared_values(kind):
+    """Each load builds a new dict or list over the memo's values, so filling
+    a mirrored kind's lower half in one load, or any change a caller makes to
+    it, cannot reach the next."""
+    fixture = next(fix for fix in registry.load_fixtures() if fix.kind == kind)
+    loader = getattr(fixture, registry.TABLE_KINDS[kind].loader)
+    first = loader()
+    if isinstance(first, dict):
+        first[(3, 2)] = first[(1, 1)] = Poly.var("gamma")
+    else:
+        first.append(Poly.var("gamma"))
+    second, third = loader(), loader()
+    assert second == third and second is not third and second != first
+    assert len(second) == (9 if isinstance(second, dict) else len(fixture.rows))
+    if isinstance(second, dict):
+        second, third = list(second.values()), list(third.values())
+    if kind == "bott":  # the memo holds the parsed triple each Vec3 wraps
+        second, third = [v.c for v in second], [v.c for v in third]
+    assert all(map(operator.is_, second, third))

@@ -4,10 +4,12 @@ from functools import cached_property
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bottsol import pipeline, registry, soliton, verify
 from bottsol.registry import Claim, Fixture, FamilyRecord, TheoremRecord
-from bottsol.scalar import DenominatorZero, parse_poly, parse_ratfun
+from bottsol.scalar import DenominatorZero, Poly, parse_poly, parse_ratfun
 from bottsol.soliton import UNKNOWNS, InconsistentFamily, IntegerRows, SolutionFamily, draw_points
 from bottsol.verify import (
     _EINSTEIN_ZERO,
@@ -20,13 +22,14 @@ from bottsol.verify import (
     EntryDiff,
     _bound_values,
     _diff_delta,
+    _diff_system,
     _equation_values,
     _family_from_record,
     _spot_check_family,
     verify_fixture,
     verify_theorem,
 )
-from helpers import all_configurations, ratfun_eval_at
+from helpers import all_configurations, power, ratfun_eval_at, reference_diff_system
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +275,51 @@ class TestRegistryCompleteness:
             for d in report.mismatches:
                 produced.add((fix.id, d.key, d.expected, d.computed))
         assert produced == errata
+
+
+_scales = st.fractions(min_value=-3, max_value=3, max_denominator=4)  # zero included
+
+
+@st.composite
+def _polys(draw):
+    """Up to three terms, each a scaled power of one name."""
+    total = Poly.zero()
+    terms = st.tuples(st.sampled_from(("alpha", "beta", "mu1")), st.integers(0, 2), _scales)
+    for name, k, c in draw(st.lists(terms, max_size=3)):
+        total = total + power(Poly.var(name), k).scaled(c)
+    return total
+
+
+@st.composite
+def _equation_sides(draw):
+    """Two lists of constant multiples (zero among them) of polynomials from
+    one small pool, so each side repeats equations and shares some with the
+    other up to scale."""
+    pool = draw(st.lists(_polys(), min_size=1, max_size=4))
+    entries = st.tuples(st.sampled_from(pool), _scales).map(lambda pc: pc[0].scaled(pc[1]))
+    return draw(st.lists(entries, max_size=6)), tuple(draw(st.lists(entries, max_size=6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_equation_sides())
+def test_system_diff_by_value_matches_the_printed_comparison(sides):
+    assert _diff_system(*sides) == reference_diff_system(*sides)
+
+
+def test_stored_systems_diff_as_the_printed_comparison(fixtures):
+    """Every stored system at each G4 sign, against its recomputed equations
+    and against its own stored equations, where both sides are the same."""
+    compared = 0
+    for fix in fixtures.values():
+        if fix.kind != "system":
+            continue
+        for eta in pipeline.eta_signs(fix.group):
+            stored = fix.system_equations(eta=eta)
+            computed = pipeline.stage(fix.group, fix.distribution, fix.perturbed, eta).system.equations
+            assert _diff_system(stored, computed) == reference_diff_system(stored, computed)
+            assert _diff_system(stored, tuple(stored)) == []
+            compared += 1
+    assert compared == 48  # 42 systems, the 6 of G4 at both signs
 
 
 def test_fixture_checks_compile_no_point_evaluator():

@@ -568,7 +568,7 @@ def grid_points(system: SolitonSystem) -> list:
     return points
 
 
-def _solve_equalities(
+def _solve_in_turn(
     constraints: Sequence[Poly],
     point: dict,
     free: list,
@@ -579,6 +579,7 @@ def _solve_equalities(
     Strategy per constraint: substitute what is known; if the rest is linear
     in some still-free name, sample the other free names then solve for it.
     Mutates `point`; returns False when the attempt should be retried.
+    `_solve_equalities` hands its point here where its plan does not hold.
     """
     def rand() -> Fraction:
         return rng.choice(rng.choice(RANDOM_VALUES))
@@ -614,13 +615,117 @@ def _solve_equalities(
     return True
 
 
+def _terms(terms: Mapping) -> tuple:
+    """A polynomial's terms as (numerator, denominator, names) triples: the
+    coefficient's, and each name the term holds, repeated by its exponent."""
+    return tuple((c.numerator, c.denominator,
+                  tuple(name for name, k in zip(PARAMS, e) for _ in range(k)))
+                 for e, c in terms.items())
+
+
+def _value(terms: tuple, point: Mapping[str, Fraction]) -> tuple:
+    """The value of a term list at `point` as an unreduced (numerator,
+    denominator) pair of ints, with a positive denominator."""
+    num, den = 0, 1
+    for n, d, names in terms:
+        for name in names:
+            v = point[name]
+            n *= v.numerator
+            d *= v.denominator
+        num, den = num * d + n * den, den * d
+    return num, den
+
+
+@dataclass(frozen=True)
+class _Step:
+    """One constraint as `_solve_in_turn` treats it at each point where the
+    names the earlier steps bound are bound and none of `checks` vanishes.
+
+    Its open names are those no earlier step bound.  Grouped by monomial in
+    them, each of its terms has a coefficient, a polynomial in the bound
+    names; `checks` holds those that are not constants.  Where none
+    vanishes, the loop's residual keeps every monomial, so its open names,
+    their degrees and its target are these: the loop draws `others` and
+    sets `target` to -b/a, where a and b are the constraint's coefficient
+    of the target and its terms free of it.  With no target it retries."""
+
+    constraint: Poly
+    checks: tuple
+    others: tuple
+    target: str | None
+    a: tuple
+    b: tuple
+
+
+def _plan(constraints: Sequence[Poly], free: list) -> tuple:
+    """The steps `_solve_in_turn` takes from an empty point, worked out once:
+    the names bound before a step are those the steps before it bound, so
+    every step depends on `(constraints, free)` alone.  A zero constraint,
+    which the loop skips, takes no step."""
+    known: set = set()
+    steps = []
+    for c in constraints:
+        names = c.params()
+        if not names <= set(free):
+            raise AssertionError(f"constraint {c} names {sorted(names - set(free))}, "
+                                 f"which are not sampled")
+        if c.is_zero():
+            continue
+        open_names = [n for n in free if n in names and n not in known]
+        at = [PARAMS.index(n) for n in open_names]
+        coefficients: dict = {}  # a monomial in the open names -> its coefficient's terms
+        for e, coefficient in c.terms.items():
+            rest = tuple(0 if i in at else k for i, k in enumerate(e))
+            coefficients.setdefault(tuple(e[i] for i in at), {})[rest] = coefficient
+        degrees = [max(key[j] for key in coefficients) for j in range(len(at))]
+        target = next((n for n, d in zip(reversed(open_names), reversed(degrees)) if d == 1), None)
+        steps.append(_Step(
+            constraint=c,
+            checks=tuple(_terms(terms) for terms in coefficients.values()
+                         if any(map(any, terms))),
+            others=tuple(n for n in open_names if n != target),
+            target=target,
+            a=_terms(c.coefficient_of(target).terms) if target else (),
+            b=_terms(c.drop([target]).terms) if target else (),
+        ))
+        known.update(open_names)
+    return tuple(steps)
+
+
+def _solve_equalities(steps: tuple, point: dict, free: list, rng: random.Random) -> bool:
+    """One draw of `_solve_in_turn` over the constraints `_plan` gave `steps`
+    from, with the empty `point`: the same point from the same stream.  Where
+    a check vanishes, or a and b both do, it hands the point and the
+    constraints from that step on to the loop.  In the second case the step's
+    constraint vanishes whatever the target, so the loop skips it, as it
+    would have."""
+    for k, step in enumerate(steps):
+        if all(_value(check, point)[0] for check in step.checks):
+            if step.target is None:
+                return False
+            for name in step.others:
+                point[name] = rng.choice(rng.choice(RANDOM_VALUES))
+            (a, a_den), (b, b_den) = _value(step.a, point), _value(step.b, point)
+            if a:
+                point[step.target] = Fraction(-b * a_den, b_den * a)
+                continue
+            if b:
+                return False
+        return _solve_in_turn([s.constraint for s in steps[k:]], point, free, rng)
+    for name in free:
+        point.setdefault(name, rng.choice(rng.choice(RANDOM_VALUES)))
+    return True
+
+
 def draw_points(constraints: Sequence[Poly], free: list, seed: int, attempts: int):
     """Seeded random points over the `free` names: make at most `attempts`
-    draws and yield each point on which every equality constraint vanishes."""
+    draws and yield each point on which every equality constraint vanishes.
+    Every constraint names only `free` names."""
+    steps = _plan(constraints, free)
     rng = random.Random(seed)
     for _ in range(attempts):
         point: dict = {}
-        if _solve_equalities(constraints, point, free, rng):
+        if _solve_equalities(steps, point, free, rng):
             yield point
 
 

@@ -112,10 +112,13 @@ def test_a_key_may_repeat_across_blocks():
 
 def test_stored_tables_parse_without_rational_functions(monkeypatch):
     """Every stored table is polynomial, so loading all of them at each G4
-    sign builds no RatFun at all."""
+    sign builds no RatFun at all.  The parse memo is emptied first, so every
+    distinct stored row is parsed here."""
     from bottsol import pipeline
     from bottsol.scalar import RatFun
 
+    fixtures = registry.load_fixtures()
+    pipeline.stage.cache_clear()
     built = []
     original = RatFun.__init__
 
@@ -125,11 +128,12 @@ def test_stored_tables_parse_without_rational_functions(monkeypatch):
 
     monkeypatch.setattr(RatFun, "__init__", counted)
     loaded = 0
-    for fix in registry.load_fixtures():
+    for fix in fixtures:
         for eta in pipeline.eta_signs(fix.group):
             getattr(fix, registry.TABLE_KINDS[fix.kind].loader)(eta=eta)
             loaded += 1
     assert loaded > 196 and not built
+    assert registry.parsed.cache_info().misses == 492
     RatFun.make(Poly.var("alpha"), Poly.var("beta"))
     assert len(built) == 1  # the counter is live
 

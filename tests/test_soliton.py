@@ -15,6 +15,7 @@ from bottsol.soliton import (
     assert_affine_linear,
     check_family,
     decide_at_point,
+    draw_points,
     grid_points,
     lie_derivative_form,
     random_points,
@@ -295,6 +296,11 @@ class TestSampling:
         assert spec.parameters == ("alpha", "beta")
         points = sample_plan(build(spec, "D").system, minimum=60, seed=5)
         assert len(points) >= 60 and all(point["beta"] != 0 for point in points)
+
+    def test_constraints_name_only_sampled_names(self):
+        """A constraint on a name that is not drawn is refused before any draw."""
+        with pytest.raises(AssertionError, match=r"names \['gamma'\], which are not sampled"):
+            next(draw_points([parse_poly("alpha*gamma - 1")], ["alpha"], 5, 10))
 
     def test_sample_plan_size(self):
         system = stage("G1", "D").system

@@ -1,15 +1,17 @@
 """Property tests for the exact point solver and numeric substitution.
 
 The fraction-free integer solver must agree with Gauss-Jordan elimination
-(`helpers.reference_solve`) on every input, witness included, and the
-generated evaluator of compiled rows with `helpers.reference_at`.
+(`helpers.reference_solve`) on every input, witness included, the
+generated evaluator of compiled rows with `helpers.reference_at`, and the
+planned draws of constrained sample points with the substitution loop.
 """
 
+import random
 import sys
 from fractions import Fraction
 from math import lcm, prod
 
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -256,3 +258,73 @@ def test_eval_at_matches_termwise_sum(p, point):
         (c * prod(point[name] ** k for name, k in zip(PARAMS, e)) for e, c in p.terms.items()),
         Fraction(0),
     )
+
+
+# --------------------------------------------------------------------------
+# Constrained draws: the plan against the substitution loop
+# --------------------------------------------------------------------------
+
+SAMPLED = ("alpha", "beta", "gamma", "delta")
+VANISHING, NO_TARGET_TERM = "a coefficient vanishes", "a = b = 0"
+
+
+@st.composite
+def constraint_sets(draw):
+    """Up to 3 polynomials over an ordered subset `free` of SAMPLED.  Few
+    terms of low degree with small coefficients, so a coefficient in the
+    names an earlier constraint bound vanishes at some draws, and so does a
+    target's coefficient together with the terms free of the target."""
+    free = draw(st.permutations(SAMPLED))[:draw(st.integers(1, len(SAMPLED)))]
+    exponent = st.fixed_dictionaries({n: st.integers(0, 2) for n in free}).map(
+        lambda e: tuple(e.get(name, 0) for name in PARAMS))
+    coefficient = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    poly = st.dictionaries(exponent, coefficient.map(Fraction), max_size=4).map(Poly)
+    return draw(st.lists(poly, max_size=3)), free
+
+
+def _draw_both_ways(constraints, free, seed, attempts=20) -> set:
+    """Draw `attempts` times with the plan and with the loop alone, each from
+    its own generator seeded `seed`: every verdict and point, the order of
+    its names included, must agree, and so must the next number of each
+    stream.  Returns the ways the plan handed a point to the loop."""
+    loop = soliton._solve_in_turn
+    steps = soliton._plan(constraints, free)
+    handed = set()
+
+    def recorded(rest, point, names, rng):
+        # The loop gets steps[k:] both where a check of step k vanishes,
+        # before its others are drawn, and where its a = b = 0, after.  a can
+        # vanish only when others is not empty: else a is a check or a
+        # nonzero constant.
+        others = steps[len(steps) - len(rest)].others
+        handed.add(NO_TARGET_TERM if others and others[0] in point else VANISHING)
+        return loop(rest, point, names, rng)
+
+    planned, looped = random.Random(seed), random.Random(seed)
+    soliton._solve_in_turn = recorded
+    try:
+        for _ in range(attempts):
+            ours, theirs = {}, {}
+            assert (soliton._solve_equalities(steps, ours, free, planned)
+                    == loop(constraints, theirs, free, looped))
+            assert list(ours.items()) == list(theirs.items())
+            assert all(type(value) is Fraction for value in ours.values())
+    finally:
+        soliton._solve_in_turn = loop
+    assert planned.random() == looped.random()
+    return handed
+
+
+@SETTINGS
+@given(constraint_sets(), st.integers(0, 2**32))
+def test_planned_draws_match_the_loop(case, seed):
+    _draw_both_ways(*case, seed)
+
+
+@pytest.mark.parametrize("way", [VANISHING, NO_TARGET_TERM])
+def test_the_constraint_sets_reach_each_hand_over(way):
+    """The strategy above reaches both ways the plan falls back to the loop."""
+    find(st.tuples(constraint_sets(), st.integers(0, 2**32)),
+         lambda case: way in _draw_both_ways(*case[0], case[1]),
+         settings=settings(max_examples=500, deadline=None, database=None, derandomize=True,
+                           phases=[Phase.generate]))

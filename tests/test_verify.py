@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
@@ -341,9 +342,10 @@ def test_fixture_checks_compile_no_point_evaluator():
 # --------------------------------------------------------------------------
 
 
-def _claim_families():
+def _claim_families(completions=True):
     """(system, family, closed bindings) for every family of every claim at
-    each G4 sign, as printed and, where a completion is recorded, completed."""
+    each G4 sign, as printed and, where a completion is recorded and
+    `completions` is true, completed."""
     for rec in registry.load_theorems():
         for claim in rec.claims:
             for fam in claim.families or ():
@@ -351,7 +353,7 @@ def _claim_families():
                     fam = replace(fam, bindings=_EINSTEIN_ZERO + fam.bindings)
                 for eta in pipeline.eta_signs(claim.group):
                     system = pipeline.stage(claim.group, rec.distribution, rec.perturbed, eta).system
-                    for completed in sorted({False, fam.has_completion()}):
+                    for completed in sorted({False, completions and fam.has_completion()}):
                         family = _family_from_record(fam, eta, completed)
                         try:
                             binds = family.closed_bindings
@@ -417,6 +419,30 @@ def test_equation_and_side_rows_agree_with_eval_at():
             off = {**full, "mu": full["mu"] + 1}
             _assert_positive_multiple(_equation_values(rows, off), system.equations, off)
     assert zeros > 1000
+
+
+# sha256 of one line per point, f"{group} {distribution} {label} {sorted(point.items())}",
+# that draw_points yields in 100 attempts at seed 177147 over the draws
+# _spot_check_family makes for every printed family it checks (check_family
+# satisfied) at each G4 sign: 74 families, 7,355 points.
+SPOT_CHECK_DRAW_DIGEST = "dd6f83aa2b4857c7939145e612f0e08871f355200e16800185c189aa8b85225f"
+
+
+def test_spot_check_draws_are_unchanged():
+    digest = hashlib.sha256()
+    families = points = 0
+    for system, family, binds in _claim_families(completions=False):
+        if not soliton.check_family(system, family).satisfied:
+            continue
+        families += 1
+        reduced = family.reduced(system.equality_constraints + family.side_equal)
+        free = [n for n in list(system.parameters) + list(UNKNOWNS) if n not in binds]
+        for point in draw_points(reduced, free, 177147, 100):
+            points += 1
+            digest.update(f"{system.group} {system.distribution} {family.label} "
+                          f"{sorted(point.items())}\n".encode())
+    assert (families, points) == (74, 7355)
+    assert digest.hexdigest() == SPOT_CHECK_DRAW_DIGEST
 
 
 # Each message is the one the per-point RatFun / Poly evaluation route gave.

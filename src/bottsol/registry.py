@@ -16,6 +16,9 @@ Block grammar:
     <scalar expr>            system equations, one per line
     * : 0                    shorthand for an all-zero table
 
+An <id> is digits and dots, starting with a digit; any other line that
+starts with `[` is refused as a bad block header.
+
 G4 files may use the name `eta`; it is substituted with the requested sign
 while parsing, so the polynomial alphabet itself never contains it.
 """
@@ -114,7 +117,7 @@ def _data_text(relpath: str) -> str:
     return node.read_text()
 
 
-_HEADER = re.compile(r"^\[(\w+)\s+([0-9][\w.]*)\s*(perturbed)?\]$")
+_HEADER = re.compile(r"^\[(\w+)\s+([0-9][0-9.]*)(?:\s+(perturbed))?\]$")
 
 
 def _parse_table_file(text: str, group: str, dist: str) -> list:
@@ -148,6 +151,8 @@ def _parse_table_file(text: str, group: str, dist: str) -> list:
             rows = []
             seen = set()
             continue
+        if line.startswith("["):
+            raise RegistryError(f"{group}/{dist} line {lineno}: bad block header {line!r}")
         if kind is None:
             raise RegistryError(f"{group}/{dist} line {lineno}: content before first block")
         if kind == "system":
@@ -247,11 +252,11 @@ _THM_HEADER = re.compile(r"^\[(theorem|corollary)\s+(\S+)\s+(.*?)\]$")
 def _parse_kv(kv_text: str, lineno: int) -> dict:
     out = {}
     for tok in kv_text.split():
+        key, sep, value = tok.partition("=")
         if tok == "perturbed":
             out["perturbed"] = True
-        elif "=" in tok:
-            k, v = tok.split("=", 1)
-            out[k] = v
+        elif sep and key in ("group", "dist", "kind"):
+            out[key] = value
         else:
             raise RegistryError(f"theorems line {lineno}: bad token {tok!r} in theorem header")
     return out

@@ -568,53 +568,6 @@ def grid_points(system: SolitonSystem) -> list:
     return points
 
 
-def _solve_in_turn(
-    constraints: Sequence[Poly],
-    point: dict,
-    free: list,
-    rng: random.Random,
-) -> bool:
-    """Extend `point` over `free` names so all equality constraints vanish.
-
-    Strategy per constraint: substitute what is known; if the rest is linear
-    in some still-free name, sample the other free names then solve for it.
-    Mutates `point`; returns False when the attempt should be retried.
-    `_solve_equalities` hands its point here where its plan does not hold.
-    """
-    def rand() -> Fraction:
-        return rng.choice(rng.choice(RANDOM_VALUES))
-
-    for c in constraints:
-        residual = c.partial_eval(point)
-        if residual.is_zero():
-            continue
-        open_names = [n for n in free if n in residual.params() and n not in point]
-        if not open_names:
-            return False
-        target = None
-        for name in reversed(open_names):
-            if residual.degree_in([name]) == 1:
-                target = name
-                break
-        if target is None:
-            return False
-        for name in open_names:
-            if name != target:
-                point[name] = rand()
-        shifted = residual.partial_eval({name: point[name] for name in open_names if name != target})
-        # Every name left in `shifted` is the target, so both are constants.
-        a = shifted.coefficient_of(target).constant_value()
-        b = shifted.drop([target]).constant_value()
-        if a == 0:
-            if b != 0:
-                return False
-            continue
-        point[target] = -b / a
-    for name in free:
-        point.setdefault(name, rand())
-    return True
-
-
 def _terms(terms: Mapping) -> tuple:
     """A polynomial's terms as (numerator, denominator, names) triples: the
     coefficient's, and each name the term holds, repeated by its exponent."""
@@ -636,82 +589,75 @@ def _value(terms: tuple, point: Mapping[str, Fraction]) -> tuple:
     return num, den
 
 
-@dataclass(frozen=True)
-class _Step:
-    """One constraint as `_solve_in_turn` treats it at each point where the
-    names the earlier steps bound are bound and none of `checks` vanishes.
-
-    Its open names are those no earlier step bound.  Grouped by monomial in
-    them, each of its terms has a coefficient, a polynomial in the bound
-    names; `checks` holds those that are not constants.  Where none
-    vanishes, the loop's residual keeps every monomial, so its open names,
-    their degrees and its target are these: the loop draws `others` and
-    sets `target` to -b/a, where a and b are the constraint's coefficient
-    of the target and its terms free of it.  With no target it retries."""
-
-    constraint: Poly
-    checks: tuple
-    others: tuple
-    target: str | None
-    a: tuple
-    b: tuple
+def _groups(c: Poly, open_names: tuple) -> tuple:
+    """`c`'s terms grouped by monomial in `open_names`: each group's exponents
+    of those names, each group's coefficient (a polynomial in the other
+    names) as `_terms`, and an empty memo of `_step`'s shapes."""
+    at = [PARAMS.index(n) for n in open_names]
+    coefficients: dict = {}  # a monomial in the open names -> its coefficient's terms
+    for e, coefficient in c.terms.items():
+        rest = tuple(0 if i in at else k for i, k in enumerate(e))
+        coefficients.setdefault(tuple(e[i] for i in at), {})[rest] = coefficient
+    return tuple(coefficients), tuple(_terms(terms) for terms in coefficients.values()), {}
 
 
-def _plan(constraints: Sequence[Poly], free: list) -> tuple:
-    """The steps `_solve_in_turn` takes from an empty point, worked out once:
-    the names bound before a step are those the steps before it bound, so
-    every step depends on `(constraints, free)` alone.  A zero constraint,
-    which the loop skips, takes no step."""
-    known: set = set()
-    steps = []
-    for c in constraints:
-        names = c.params()
-        if not names <= set(free):
-            raise AssertionError(f"constraint {c} names {sorted(names - set(free))}, "
-                                 f"which are not sampled")
-        if c.is_zero():
+def _step(exponents: tuple, coefficients: tuple, open_names: tuple, mask: tuple) -> tuple:
+    """How a constraint is solved where the coefficients `mask` marks do not
+    vanish: the names to draw, the target, and the term lists of a (the
+    coefficient of the target) and b (the terms free of it) over the groups
+    left.  The names are those of the groups left, and the target is the
+    last of them of degree 1, or None if none is."""
+    live = [e for e, keep in zip(exponents, mask) if keep]
+    degrees = [max(e[j] for e in live) for j in range(len(open_names))]
+    t = next((j for j in reversed(range(len(open_names))) if degrees[j] == 1), None)
+    if t is None:
+        return (), None, (), ()
+    drawn = [j for j, degree in enumerate(degrees) if degree and j != t]
+    a, b = [], []
+    for e, terms, keep in zip(exponents, coefficients, mask):
+        if keep:
+            names = tuple(open_names[j] for j in drawn for _ in range(e[j]))
+            (a if e[t] else b).extend((n, d, bound + names) for n, d, bound in terms)
+    return tuple(open_names[j] for j in drawn), open_names[t], tuple(a), tuple(b)
+
+
+def _solve_equalities(memos: list, point: dict, free: list, rng: random.Random) -> bool:
+    """One draw: extend the empty `point` over the `free` names so that every
+    constraint vanishes, or return False for a retry.
+
+    Constraint by constraint, its open names are those not yet bound.  Where
+    the coefficients of its monomials in them all vanish at `point`, it is
+    skipped.  Otherwise the last open name of degree 1 among the monomials
+    left is the target (with none, the draw fails): the other open names of
+    those monomials are drawn, and the target is set to -b/a, with a its
+    coefficient and b the terms free of it.  Where a = 0 the constraint is
+    skipped if b = 0 too and fails the draw if not.  The names still unbound
+    at the end are drawn in `free` order.  `memos` holds each constraint
+    with its names in `free` order and its groups per tuple of open names
+    (`_groups`), each with its shapes per mask of vanishing coefficients
+    (`_step`)."""
+    for c, names, cases in memos:
+        open_names = tuple([n for n in names if n not in point])
+        case = cases.get(open_names)
+        if case is None:
+            case = cases[open_names] = _groups(c, open_names)
+        exponents, coefficients, shapes = case
+        mask = tuple([bool(_value(terms, point)[0]) for terms in coefficients])
+        if not any(mask):
             continue
-        open_names = [n for n in free if n in names and n not in known]
-        at = [PARAMS.index(n) for n in open_names]
-        coefficients: dict = {}  # a monomial in the open names -> its coefficient's terms
-        for e, coefficient in c.terms.items():
-            rest = tuple(0 if i in at else k for i, k in enumerate(e))
-            coefficients.setdefault(tuple(e[i] for i in at), {})[rest] = coefficient
-        degrees = [max(key[j] for key in coefficients) for j in range(len(at))]
-        target = next((n for n, d in zip(reversed(open_names), reversed(degrees)) if d == 1), None)
-        steps.append(_Step(
-            constraint=c,
-            checks=tuple(_terms(terms) for terms in coefficients.values()
-                         if any(map(any, terms))),
-            others=tuple(n for n in open_names if n != target),
-            target=target,
-            a=_terms(c.coefficient_of(target).terms) if target else (),
-            b=_terms(c.drop([target]).terms) if target else (),
-        ))
-        known.update(open_names)
-    return tuple(steps)
-
-
-def _solve_equalities(steps: tuple, point: dict, free: list, rng: random.Random) -> bool:
-    """One draw of `_solve_in_turn` over the constraints `_plan` gave `steps`
-    from, with the empty `point`: the same point from the same stream.  Where
-    a check vanishes, or a and b both do, it hands the point and the
-    constraints from that step on to the loop.  In the second case the step's
-    constraint vanishes whatever the target, so the loop skips it, as it
-    would have."""
-    for k, step in enumerate(steps):
-        if all(_value(check, point)[0] for check in step.checks):
-            if step.target is None:
-                return False
-            for name in step.others:
-                point[name] = rng.choice(rng.choice(RANDOM_VALUES))
-            (a, a_den), (b, b_den) = _value(step.a, point), _value(step.b, point)
-            if a:
-                point[step.target] = Fraction(-b * a_den, b_den * a)
-                continue
-            if b:
-                return False
-        return _solve_in_turn([s.constraint for s in steps[k:]], point, free, rng)
+        shape = shapes.get(mask)
+        if shape is None:
+            shape = shapes[mask] = _step(exponents, coefficients, open_names, mask)
+        others, target, a_terms, b_terms = shape
+        if target is None:
+            return False
+        for name in others:
+            point[name] = rng.choice(rng.choice(RANDOM_VALUES))
+        (a, a_den), (b, b_den) = _value(a_terms, point), _value(b_terms, point)
+        if a:
+            point[target] = Fraction(-b * a_den, b_den * a)
+        elif b:
+            return False
     for name in free:
         point.setdefault(name, rng.choice(rng.choice(RANDOM_VALUES)))
     return True
@@ -721,11 +667,17 @@ def draw_points(constraints: Sequence[Poly], free: list, seed: int, attempts: in
     """Seeded random points over the `free` names: make at most `attempts`
     draws and yield each point on which every equality constraint vanishes.
     Every constraint names only `free` names."""
-    steps = _plan(constraints, free)
+    memos = []
+    for c in constraints:
+        names = c.params()
+        if not names <= set(free):
+            raise AssertionError(f"constraint {c} names {sorted(names - set(free))}, "
+                                 f"which are not sampled")
+        memos.append((c, tuple(n for n in free if n in names), {}))
     rng = random.Random(seed)
     for _ in range(attempts):
         point: dict = {}
-        if _solve_equalities(steps, point, free, rng):
+        if _solve_equalities(memos, point, free, rng):
             yield point
 
 

@@ -12,7 +12,9 @@ bracket and Lie-derivative formulas the program's `Poly.dot` sums replace.
 `reference_tokens` splits an expression by a character loop, against which
 the parser's one-pattern scanner is compared.  `reference_diff_system`
 compares two equation lists by their printed primitive forms, against which
-the value-based system diff is compared.
+the value-based system diff is compared.  `reference_solve_in_turn` draws a
+constrained sample point by substituting into each constraint in turn,
+against which the program's memoized draws are compared.
 """
 
 from fractions import Fraction
@@ -23,7 +25,9 @@ from bottsol.connection import DISTRIBUTIONS
 from bottsol.curvature import BilinearForm
 from bottsol.pipeline import eta_signs
 from bottsol.scalar import DenominatorZero, ParseError, Poly, RatFun, UnboundParameter
-from bottsol.soliton import UNKNOWNS, IntegerRows, PointVerdict, _solve_integer_rows
+from bottsol.soliton import (
+    RANDOM_VALUES, UNKNOWNS, IntegerRows, PointVerdict, _solve_integer_rows,
+)
 from bottsol.verify import EntryDiff
 
 
@@ -223,3 +227,48 @@ def reference_diff_system(expected: list, computed: tuple) -> list:
     for extra in sorted(set(computed) - set(expected)):
         diffs.append(EntryDiff("equations", "(no matching equation)", extra))
     return diffs
+
+
+def reference_solve_in_turn(constraints, point: dict, free: list, rng, cleared=None) -> bool:
+    """Extend `point` over `free` names so all equality constraints vanish.
+
+    Strategy per constraint: substitute what is known; if the rest is linear
+    in some still-free name, sample the other free names then solve for it.
+    Mutates `point`; returns False when the attempt should be retried.  A
+    constraint that vanishes whatever its target once the other names are
+    drawn (a = b = 0) is skipped, and added to the set `cleared` if given.
+    """
+    def rand() -> Fraction:
+        return rng.choice(rng.choice(RANDOM_VALUES))
+
+    for c in constraints:
+        residual = c.partial_eval(point)
+        if residual.is_zero():
+            continue
+        open_names = [n for n in free if n in residual.params() and n not in point]
+        if not open_names:
+            return False
+        target = None
+        for name in reversed(open_names):
+            if residual.degree_in([name]) == 1:
+                target = name
+                break
+        if target is None:
+            return False
+        for name in open_names:
+            if name != target:
+                point[name] = rand()
+        shifted = residual.partial_eval({name: point[name] for name in open_names if name != target})
+        # Every name left in `shifted` is the target, so both are constants.
+        a = shifted.coefficient_of(target).constant_value()
+        b = shifted.drop([target]).constant_value()
+        if a == 0:
+            if b != 0:
+                return False
+            if cleared is not None:
+                cleared.add(c)
+            continue
+        point[target] = -b / a
+    for name in free:
+        point.setdefault(name, rand())
+    return True

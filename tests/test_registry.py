@@ -13,6 +13,10 @@ HEADER = "[theorem 9.1 group=G1 dist=D kind=families]\n"
 @pytest.mark.parametrize("text, message", [
     ("family 1:\n", "theorems line 1: content before first block"),
     ("[theorem 9.1 group=G1 dist=D oops]\n", "theorems line 1: bad token 'oops' in theorem header"),
+    ("[theorem 9.1 group=G1 dist=D perturbed=no kind=families]\n",
+     "theorems line 1: bad token 'perturbed=no' in theorem header"),
+    ("[theorem 9.1 group=G1 dist=D colour=red kind=families]\n",
+     "theorems line 1: bad token 'colour=red' in theorem header"),
     ("[theorem 9.1 dist=D kind=not_soliton]\n", "theorems line 1: header has no group="),
     ("[theorem 9.1 group=G9 dist=D kind=not_soliton]\n", "theorems line 1: unknown group 'G9'"),
     ("[theorem 9.1 group=G1 kind=not_soliton]\n", "theorems line 1: header has no dist="),
@@ -99,6 +103,20 @@ def test_repeated_table_keys_are_refused(text, message):
     """A block that lists one key twice would have only its last row
     compared, so a wrong earlier row (the G1/D bott block's `3 1 : 7*e1`)
     would verify as a match; it is refused with the repeating line."""
+    with pytest.raises(RegistryError) as exc:
+        registry._parse_table_file(text, "G1", "D")
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[bott 2.2perturbed]\n* : 0\n", "G1/D line 1: bad block header '[bott 2.2perturbed]'"),
+    ("[system 2.2]\nalpha*mu1\n[bott 2.2 perturbd]\n* : 0\n",
+     "G1/D line 3: bad block header '[bott 2.2 perturbd]'"),
+])
+def test_malformed_block_headers_are_refused(text, message):
+    """An id glued to `perturbed` would read as an unperturbed block with id
+    '2.2perturbed', and a misspelt header inside a system block would be
+    kept as an equation; both are refused with their line."""
     with pytest.raises(RegistryError) as exc:
         registry._parse_table_file(text, "G1", "D")
     assert str(exc.value) == message

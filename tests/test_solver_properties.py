@@ -3,7 +3,8 @@
 The fraction-free integer solver must agree with Gauss-Jordan elimination
 (`helpers.reference_solve`) on every input, witness included, the
 generated evaluator of compiled rows with `helpers.reference_at`, and the
-planned draws of constrained sample points with the substitution loop.
+draws of constrained sample points with the substitution loop
+(`helpers.reference_solve_in_turn`).
 """
 
 import random
@@ -23,7 +24,9 @@ from bottsol import soliton
 from bottsol.soliton import (
     _TERMS_PER_SUM, UNKNOWNS, IntegerRows, _solve_integer_rows, decide_at_point,
 )
-from helpers import all_configurations, power, reference_at, reference_solve, solve_affine
+from helpers import (
+    all_configurations, power, reference_at, reference_solve, reference_solve_in_turn, solve_affine,
+)
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -261,7 +264,7 @@ def test_eval_at_matches_termwise_sum(p, point):
 
 
 # --------------------------------------------------------------------------
-# Constrained draws: the plan against the substitution loop
+# Constrained draws: draw_points against the substitution loop
 # --------------------------------------------------------------------------
 
 SAMPLED = ("alpha", "beta", "gamma", "delta")
@@ -273,7 +276,7 @@ def constraint_sets(draw):
     """Up to 3 polynomials over an ordered subset `free` of SAMPLED.  Few
     terms of low degree with small coefficients, so a coefficient in the
     names an earlier constraint bound vanishes at some draws, and so does a
-    target's coefficient together with the terms free of the target."""
+    target's coefficient together with the terms free of it."""
     free = draw(st.permutations(SAMPLED))[:draw(st.integers(1, len(SAMPLED)))]
     exponent = st.fixed_dictionaries({n: st.integers(0, 2) for n in free}).map(
         lambda e: tuple(e.get(name, 0) for name in PARAMS))
@@ -283,36 +286,40 @@ def constraint_sets(draw):
 
 
 def _draw_both_ways(constraints, free, seed, attempts=20) -> set:
-    """Draw `attempts` times with the plan and with the loop alone, each from
-    its own generator seeded `seed`: every verdict and point, the order of
-    its names included, must agree, and so must the next number of each
-    stream.  Returns the ways the plan handed a point to the loop."""
-    loop = soliton._solve_in_turn
-    steps = soliton._plan(constraints, free)
-    handed = set()
+    """Make `attempts` draws with draw_points and with the loop
+    (`reference_solve_in_turn`), each from its own generator seeded `seed`:
+    every verdict and point, the order of its names included, must agree,
+    and so must the next number of each stream.  Returns the rare cases the
+    draws met: a shape worked out for a mask in which some coefficient
+    vanishes, and a constraint skipped because a = b = 0."""
+    draw, shape = soliton._solve_equalities, soliton._step
+    met, cleared, ours, theirs = set(), set(), [], []
 
-    def recorded(rest, point, names, rng):
-        # The loop gets steps[k:] both where a check of step k vanishes,
-        # before its others are drawn, and where its a = b = 0, after.  a can
-        # vanish only when others is not empty: else a is a check or a
-        # nonzero constant.
-        others = steps[len(steps) - len(rest)].others
-        handed.add(NO_TARGET_TERM if others and others[0] in point else VANISHING)
-        return loop(rest, point, names, rng)
+    def recorded_draw(memos, point, names, rng):
+        verdict = draw(memos, point, names, rng)
+        ours.append((verdict, point, rng))
+        return verdict
 
-    planned, looped = random.Random(seed), random.Random(seed)
-    soliton._solve_in_turn = recorded
+    def recorded_shape(exponents, coefficients, open_names, mask):
+        if not all(mask):
+            met.add(VANISHING)
+        return shape(exponents, coefficients, open_names, mask)
+
+    soliton._solve_equalities, soliton._step = recorded_draw, recorded_shape
     try:
-        for _ in range(attempts):
-            ours, theirs = {}, {}
-            assert (soliton._solve_equalities(steps, ours, free, planned)
-                    == loop(constraints, theirs, free, looped))
-            assert list(ours.items()) == list(theirs.items())
-            assert all(type(value) is Fraction for value in ours.values())
+        drawn = list(soliton.draw_points(constraints, free, seed, attempts))
     finally:
-        soliton._solve_in_turn = loop
-    assert planned.random() == looped.random()
-    return handed
+        soliton._solve_equalities, soliton._step = draw, shape
+    looped = random.Random(seed)
+    for _ in range(attempts):
+        point = {}
+        theirs.append((reference_solve_in_turn(constraints, point, free, looped, cleared), point))
+    assert ([(verdict, list(point.items())) for verdict, point, _ in ours]
+            == [(verdict, list(point.items())) for verdict, point in theirs])
+    assert all(type(value) is Fraction for _, point, _ in ours for value in point.values())
+    assert drawn == [point for verdict, point, _ in ours if verdict]
+    assert ours[-1][2].random() == looped.random()
+    return met | ({NO_TARGET_TERM} if cleared else set())
 
 
 @SETTINGS
@@ -321,10 +328,11 @@ def test_planned_draws_match_the_loop(case, seed):
     _draw_both_ways(*case, seed)
 
 
-@pytest.mark.parametrize("way", [VANISHING, NO_TARGET_TERM])
-def test_the_constraint_sets_reach_each_hand_over(way):
-    """The strategy above reaches both ways the plan falls back to the loop."""
+@pytest.mark.parametrize("case", [VANISHING, NO_TARGET_TERM])
+def test_the_constraint_sets_reach_each_rare_case(case):
+    """The strategy above reaches both rare cases of the draws: a mask in
+    which a coefficient vanishes, and a = b = 0."""
     find(st.tuples(constraint_sets(), st.integers(0, 2**32)),
-         lambda case: way in _draw_both_ways(*case[0], case[1]),
+         lambda drawn: case in _draw_both_ways(*drawn[0], drawn[1]),
          settings=settings(max_examples=500, deadline=None, database=None, derandomize=True,
                            phases=[Phase.generate]))

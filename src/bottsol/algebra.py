@@ -90,7 +90,6 @@ class LieAlgebraSpec:
     nonzero_constraints: tuple = ()
     parameters: tuple = ()  # group parameters that occur, in PARAMS order
     unimodular: bool | None = None  # classification metadata only
-    eta_sign: int | None = None  # only set for G4
 
     def bracket_basis(self, i: int, j: int) -> Vec3:
         """[e_i, e_j] for 1-based indices."""
@@ -171,7 +170,7 @@ def catalog(group: str, eta_sign: int | None = None) -> LieAlgebraSpec:
         [parse_poly(text) for text in nonzeros],
         label=group,
     )
-    return replace(spec, unimodular=unimodular, eta_sign=eta_sign)
+    return replace(spec, unimodular=unimodular)
 
 
 def custom_spec(

@@ -16,7 +16,7 @@ import sys
 from . import __version__, pipeline, registry, verify
 from .algebra import GROUPS, InvalidAlgebra, UnknownId, parse_custom_file, screen_jacobi
 from .connection import DISTRIBUTIONS
-from .soliton import DEFAULT_SEED
+from .soliton import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_SPOT_SAMPLES
 
 EX_USAGE = 64
 
@@ -48,9 +48,9 @@ def _count(text: str) -> int:
 def _add_common(p):
     p.add_argument("--format", default="text", choices=("text", "structured"))
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--samples", type=_count, default=100,
+    p.add_argument("--samples", type=_count, default=DEFAULT_SAMPLES,
                    help="minimum admissible sample points per non-existence claim")
-    p.add_argument("--spot-samples", type=_count, default=25,
+    p.add_argument("--spot-samples", type=_count, default=DEFAULT_SPOT_SAMPLES,
                    help="instantiation points per confirmed solution family")
     _add_timing(p)
 

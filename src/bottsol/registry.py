@@ -254,11 +254,12 @@ def _parse_kv(kv_text: str, lineno: int) -> dict:
     for tok in kv_text.split():
         key, sep, value = tok.partition("=")
         if tok == "perturbed":
-            out["perturbed"] = True
-        elif sep and key in ("group", "dist", "kind"):
-            out[key] = value
-        else:
+            value = True
+        elif not sep or key not in ("group", "dist", "kind"):
             raise RegistryError(f"theorems line {lineno}: bad token {tok!r} in theorem header")
+        if key in out:
+            raise RegistryError(f"theorems line {lineno}: {key} given twice in theorem header")
+        out[key] = value
     return out
 
 
@@ -304,6 +305,8 @@ def load_theorems() -> list:
             if m.group(1) == "theorem":
                 _named("group", group, GROUPS, lineno)
             dist = _named("dist", kv.get("dist"), DISTRIBUTIONS, lineno)
+            if any(rec.id == m.group(2) for rec in records):
+                raise RegistryError(f"theorems line {lineno}: record {m.group(2)} listed twice")
             records.append(TheoremRecord(m.group(2), group, dist,
                                          kv.get("perturbed", False), kind, []))
             claim = family = None
@@ -405,10 +408,11 @@ def load_errata() -> list:
             pending = {"fixture_id": parts[1], "key": parts[2]}
         elif pending is None:
             raise RegistryError(f"errata line {lineno}: directive before first fixture")
-        elif line.startswith("stored "):
-            pending["stored"] = line[len("stored "):].strip()
-        elif line.startswith("computed "):
-            pending["computed"] = line[len("computed "):].strip()
+        elif line.startswith(("stored ", "computed ")):
+            field_name, _, value = line.partition(" ")
+            if field_name in pending:
+                raise RegistryError(f"errata line {lineno}: {field_name} given twice in one entry")
+            pending[field_name] = value.strip()
         elif line.startswith("note "):
             pending["note"] = (pending.get("note", "") + " " + line[len("note "):].strip()).strip()
         else:

@@ -328,30 +328,6 @@ class Poly:
             pairs.append((Poly._trusted({free: c}), products[key]))
         return Poly.dot(pairs)
 
-    def partial_eval(self, point: Mapping[str, Fraction]) -> "Poly":
-        """Substitute the rational values `point` gives; other parameters stay.
-
-        Equal to RatFun.coerce(self).substitute(point).num, computed on
-        coefficients alone.
-        """
-        bound = []
-        for name, value in point.items():
-            if name not in _INDEX:
-                raise UnknownParameter(f"{name!r} is not in the parameter alphabet {PARAMS}")
-            bound.append((_INDEX[name], value))
-        out: dict = {}
-        for e, c in self.terms.items():
-            for i, value in bound:
-                k = e[i]
-                if k:
-                    c = c * value ** k
-                    e = e[:i] + (0,) + e[i + 1:]
-            if e in out:
-                out[e] += c
-            else:
-                out[e] = c
-        return Poly(out)
-
     def eval_at(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact value at a point that binds every parameter of self; other
         keys of `point` are ignored."""
@@ -359,7 +335,8 @@ class Poly:
         missing = names.difference(point)
         if missing:
             raise UnboundParameter(f"no value for {sorted(missing)}")
-        return self.partial_eval({name: point[name] for name in names}).constant_value()
+        num, den = term_value(term_list(self.terms), point)
+        return Fraction(num, den)
 
     # -- printing ------------------------------------------------------------
 
@@ -411,6 +388,27 @@ def poly_div_exact(num: Poly, den: Poly) -> Poly | None:
         q[qe] = q.get(qe, Fraction(0)) + qc
         rest = rest - Poly({qe: qc}) * den
     return Poly(q)
+
+
+def term_list(terms: Mapping) -> tuple:
+    """A polynomial's terms as (numerator, denominator, names) triples: the
+    coefficient's, and each name the term holds, repeated by its exponent."""
+    return tuple((c.numerator, c.denominator,
+                  tuple(name for name, k in zip(PARAMS, e) for _ in range(k)))
+                 for e, c in terms.items())
+
+
+def term_value(terms: tuple, point: Mapping[str, Fraction]) -> tuple:
+    """The value of a term list at `point` as an unreduced (numerator,
+    denominator) pair of ints, with a positive denominator."""
+    num, den = 0, 1
+    for n, d, names in terms:
+        for name in names:
+            v = point[name]
+            n *= v.numerator
+            d *= v.denominator
+        num, den = num * d + n * den, den * d
+    return num, den
 
 
 _ONE = Poly.const(1)

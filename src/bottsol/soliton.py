@@ -18,12 +18,15 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import METRIC_SIGNS, LieAlgebraSpec, Vec3
 from .connection import Connection
 from .curvature import BilinearForm
-from .scalar import PARAMS, DenominatorZero, Poly, RatFun, UnboundParameter, poly_div_exact
+from .scalar import (
+    PARAMS, DenominatorZero, Poly, RatFun, UnboundParameter, poly_div_exact, term_list, term_value,
+)
 
 UNKNOWNS = ("mu1", "mu2", "mu3", "mu")
 
@@ -112,6 +115,16 @@ class SolitonSystem:
         return einstein
 
 
+def equation_values(rows: list, point: Mapping[str, Fraction]) -> list:
+    """Each equation's value at `point` times one positive constant: `rows`,
+    a system's integer_rows at the parameters' values, weighted by the
+    unknowns' values times their common denominator."""
+    unknowns = [point[u] for u in UNKNOWNS]
+    scale = lcm(*(v.denominator for v in unknowns))
+    weights = [v.numerator * (scale // v.denominator) for v in unknowns] + [scale]
+    return [sum(map(mul, row, weights)) for row in rows]
+
+
 def build_system(
     spec: LieAlgebraSpec, rho_sym: BilinearForm, lie: BilinearForm, dist_name: str,
     perturbed: bool,
@@ -191,6 +204,31 @@ class SolutionFamily:
         """The numerators of polys under the closed bindings, zeros dropped."""
         binds = self.closed_bindings
         return [r.num for r in (p.substitute(binds) for p in polys) if not r.is_zero()]
+
+    @cached_property
+    def _bound_rows(self) -> "IntegerRows":
+        """The closed bindings as one row of [numerator, denominator] pairs,
+        compiled once."""
+        return IntegerRows.of([[value.num, value.den] for value in self.closed_bindings.values()])
+
+    @cached_property
+    def _nonzero_rows(self) -> "IntegerRows":
+        """One row: the nonzero side conditions, compiled once."""
+        return IntegerRows.of([self.side_nonzero])
+
+    def instantiate(self, point: Mapping[str, Fraction]) -> dict | None:
+        """`point` extended over the bound names by the closed bindings' values,
+        or None where a binding's denominator or a nonzero side condition
+        vanishes.  Row scales and the evaluation's positive factor cancel in
+        each bound value and keep every side condition's zeros."""
+        full = dict(point)
+        for name, (num, den) in zip(self.closed_bindings, self._bound_rows.at(point)):
+            if not den:
+                return None
+            full[name] = Fraction(num, den)
+        if not all(self._nonzero_rows.at(full)[0]):
+            return None
+        return full
 
 
 @dataclass(frozen=True)
@@ -541,6 +579,8 @@ GRID_VALUES = (
 )
 
 DEFAULT_SEED = 177147
+DEFAULT_SAMPLES = 100  # admissible points per non-existence claim, at least
+DEFAULT_SPOT_SAMPLES = 25  # instantiation points per confirmed family
 
 # RANDOM_VALUES[n + 9][d - 1] is Fraction(n, d).  `rng.choice(rng.choice(...))`
 # draws the same index pair as `rng.randint(-9, 9), rng.randint(1, 9)`, from
@@ -568,37 +608,16 @@ def grid_points(system: SolitonSystem) -> list:
     return points
 
 
-def _terms(terms: Mapping) -> tuple:
-    """A polynomial's terms as (numerator, denominator, names) triples: the
-    coefficient's, and each name the term holds, repeated by its exponent."""
-    return tuple((c.numerator, c.denominator,
-                  tuple(name for name, k in zip(PARAMS, e) for _ in range(k)))
-                 for e, c in terms.items())
-
-
-def _value(terms: tuple, point: Mapping[str, Fraction]) -> tuple:
-    """The value of a term list at `point` as an unreduced (numerator,
-    denominator) pair of ints, with a positive denominator."""
-    num, den = 0, 1
-    for n, d, names in terms:
-        for name in names:
-            v = point[name]
-            n *= v.numerator
-            d *= v.denominator
-        num, den = num * d + n * den, den * d
-    return num, den
-
-
 def _groups(c: Poly, open_names: tuple) -> tuple:
     """`c`'s terms grouped by monomial in `open_names`: each group's exponents
     of those names, each group's coefficient (a polynomial in the other
-    names) as `_terms`, and an empty memo of `_step`'s shapes."""
+    names) as `term_list`, and an empty memo of `_step`'s shapes."""
     at = [PARAMS.index(n) for n in open_names]
     coefficients: dict = {}  # a monomial in the open names -> its coefficient's terms
     for e, coefficient in c.terms.items():
         rest = tuple(0 if i in at else k for i, k in enumerate(e))
         coefficients.setdefault(tuple(e[i] for i in at), {})[rest] = coefficient
-    return tuple(coefficients), tuple(_terms(terms) for terms in coefficients.values()), {}
+    return tuple(coefficients), tuple(term_list(terms) for terms in coefficients.values()), {}
 
 
 def _step(exponents: tuple, coefficients: tuple, open_names: tuple, mask: tuple) -> tuple:
@@ -642,7 +661,7 @@ def _solve_equalities(memos: list, point: dict, free: list, rng: random.Random) 
         if case is None:
             case = cases[open_names] = _groups(c, open_names)
         exponents, coefficients, shapes = case
-        mask = tuple([bool(_value(terms, point)[0]) for terms in coefficients])
+        mask = tuple([bool(term_value(terms, point)[0]) for terms in coefficients])
         if not any(mask):
             continue
         shape = shapes.get(mask)
@@ -653,7 +672,7 @@ def _solve_equalities(memos: list, point: dict, free: list, rng: random.Random) 
             return False
         for name in others:
             point[name] = rng.choice(rng.choice(RANDOM_VALUES))
-        (a, a_den), (b, b_den) = _value(a_terms, point), _value(b_terms, point)
+        (a, a_den), (b, b_den) = term_value(a_terms, point), term_value(b_terms, point)
         if a:
             point[target] = Fraction(-b * a_den, b_den * a)
         elif b:
@@ -696,7 +715,8 @@ def random_points(system: SolitonSystem, count: int, seed: int = DEFAULT_SEED) -
     return points
 
 
-def sample_plan(system: SolitonSystem, minimum: int = 100, seed: int = DEFAULT_SEED) -> list:
+def sample_plan(system: SolitonSystem, minimum: int = DEFAULT_SAMPLES,
+                seed: int = DEFAULT_SEED) -> list:
     """Grid plus enough seeded random points to reach the requested minimum."""
     points = grid_points(system)
     need = max(50, minimum - len(points))

@@ -17,23 +17,22 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields, replace
-from fractions import Fraction
-from math import lcm
-from operator import mul
 
 from . import pipeline, registry
 from .registry import FamilyRecord, Fixture, TheoremRecord, parsed
 from .soliton import (
+    DEFAULT_SAMPLES,
     DEFAULT_SEED,
+    DEFAULT_SPOT_SAMPLES,
     UNKNOWNS,
     ConstraintViolated,
     InconsistentFamily,
-    IntegerRows,
     SolitonSystem,
     SolutionFamily,
     check_family,
     decide_at_point,
     draw_points,
+    equation_values,
     sample_plan,
     solve_at_point,
 )
@@ -218,35 +217,6 @@ def _family_from_record(rec: FamilyRecord, eta, completed: bool) -> SolutionFami
     )
 
 
-def _bound_values(binds: dict):
-    """The closed bindings compiled once into one row of [numerator,
-    denominator] pairs: a function that extends a point over the free names
-    by every bound value, or returns None where a denominator vanishes.  Row
-    scales and the evaluation's positive factor cancel in each ratio."""
-    names = tuple(binds)
-    rows = IntegerRows.of([[value.num, value.den] for value in binds.values()])
-
-    def extend(point: dict) -> dict | None:
-        full = dict(point)
-        for name, (num, den) in zip(names, rows.at(point)):
-            if not den:
-                return None
-            full[name] = Fraction(num, den)
-        return full
-
-    return extend
-
-
-def _equation_values(rows: list, full: dict) -> list:
-    """Each equation's value at `full` times one positive constant: `rows`,
-    the system's integer_rows at the parameters' values, weighted by the
-    unknowns' values times their common denominator."""
-    unknowns = [full[u] for u in UNKNOWNS]
-    scale = lcm(*(v.denominator for v in unknowns))
-    weights = [v.numerator * (scale // v.denominator) for v in unknowns] + [scale]
-    return [sum(map(mul, row, weights)) for row in rows]
-
-
 def _spot_check_family(
     system: SolitonSystem,
     family: SolutionFamily,
@@ -257,26 +227,18 @@ def _spot_check_family(
     side conditions and that decide_at_point admits; each point must solve
     every equation exactly and decide_at_point must find it solvable.
     Returns the number of points checked; raises AssertionError on any
-    failure.  The bindings and the nonzero side conditions are evaluated
-    through rows compiled once, and the side conditions are tested first,
-    so a point that breaks one is neither evaluated nor decided; the
-    system's integer rows are evaluated once per remaining point, and the
-    same rows are solved by decide_at_point and give the equations' values
-    (_equation_values).  Every value is the polynomial's value times a
-    positive constant."""
+    failure.  A point the family does not instantiate is neither evaluated
+    nor decided; the system's integer rows are evaluated once per remaining
+    point, and the same rows are solved by decide_at_point and give the
+    equations' values."""
     binds = family.closed_bindings
     free_names = [n for n in list(system.parameters) + list(UNKNOWNS) if n not in binds]
-    extend = _bound_values(binds)
-    nonzero_rows = IntegerRows.of([family.side_nonzero])
-
     reduced_eqs = family.reduced(system.equality_constraints + family.side_equal)
 
     done = 0
     for point in draw_points(reduced_eqs, free_names, seed, count * 500):
-        full = extend(point)
+        full = family.instantiate(point)
         if full is None:
-            continue
-        if not all(nonzero_rows.at(full)[0]):
             continue
         group_point = {k: v for k, v in full.items() if k not in UNKNOWNS}
         rows = system.integer_rows.at(group_point)
@@ -284,7 +246,7 @@ def _spot_check_family(
             verdict = decide_at_point(system, group_point, rows)
         except ConstraintViolated:
             continue
-        for eq, value in zip(system.equations, _equation_values(rows, full)):
+        for eq, value in zip(system.equations, equation_values(rows, full)):
             if value:
                 raise AssertionError(
                     f"family {family.label}: equation {eq} = {eq.eval_at(full)} != 0 at {full}"
@@ -354,8 +316,8 @@ _EINSTEIN_ZERO = (("mu1", "0"), ("mu2", "0"), ("mu3", "0"))
 
 def verify_theorem(
     rec: TheoremRecord,
-    minimum_points: int = 100,
-    spot_points: int = 25,
+    minimum_points: int = DEFAULT_SAMPLES,
+    spot_points: int = DEFAULT_SPOT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> TheoremReport:
     """Check every claim of the record at each G4 sign.  A theorem's
@@ -437,7 +399,8 @@ class RunSummary:
         return 0
 
 
-def run_all(minimum_points: int = 100, spot_points: int = 25, seed: int = DEFAULT_SEED) -> RunSummary:
+def run_all(minimum_points: int = DEFAULT_SAMPLES, spot_points: int = DEFAULT_SPOT_SAMPLES,
+            seed: int = DEFAULT_SEED) -> RunSummary:
     errata = registry.errata_signatures()
     summary = RunSummary()
     for fix in registry.load_fixtures():

@@ -242,7 +242,7 @@ def reference_solve_in_turn(constraints, point: dict, free: list, rng, cleared=N
         return rng.choice(rng.choice(RANDOM_VALUES))
 
     for c in constraints:
-        residual = c.partial_eval(point)
+        residual = c.substitute(point).num
         if residual.is_zero():
             continue
         open_names = [n for n in free if n in residual.params() and n not in point]
@@ -258,7 +258,8 @@ def reference_solve_in_turn(constraints, point: dict, free: list, rng, cleared=N
         for name in open_names:
             if name != target:
                 point[name] = rand()
-        shifted = residual.partial_eval({name: point[name] for name in open_names if name != target})
+        drawn = {name: point[name] for name in open_names if name != target}
+        shifted = residual.substitute(drawn).num
         # Every name left in `shifted` is the target, so both are constants.
         a = shifted.coefficient_of(target).constant_value()
         b = shifted.drop([target]).constant_value()

@@ -43,12 +43,48 @@ HEADER = "[theorem 9.1 group=G1 dist=D kind=families]\n"
      "theorems line 2: family outside a claim of families"),
     (HEADER + "family 1:\n  bind mu = 0\nclause G1 einstein:\n",
      "theorems line 4: clause outside a corollary"),
+    ("[theorem 9.1 group=G1 dist=D kind=families group=G2]\n",
+     "theorems line 1: group given twice in theorem header"),
+    ("[theorem 9.1 group=G1 dist=D perturbed kind=families perturbed]\n",
+     "theorems line 1: perturbed given twice in theorem header"),
+    ("[theorem 9.1 group=G1 dist=D kind=not_soliton dist=D1]\n",
+     "theorems line 1: dist given twice in theorem header"),
+    (HEADER + "family 1:\n  bind mu = 0\n[theorem 9.1 group=G2 dist=D kind=not_soliton]\n",
+     "theorems line 4: record 9.1 listed twice"),
 ])
 def test_theorem_registry_errors(monkeypatch, text, message):
     monkeypatch.setattr(registry, "_data_text", lambda relpath: text)
     with pytest.raises(RegistryError) as exc:
         registry.load_theorems()
     assert str(exc.value) == message
+
+
+ERRATUM = "fixture 9.9 1,2\nstored alpha\ncomputed beta\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (ERRATUM + "stored gamma\n", "errata line 4: stored given twice in one entry"),
+    (ERRATUM + "note first\ncomputed gamma\n", "errata line 5: computed given twice in one entry"),
+    ("stored alpha\n", "errata line 1: directive before first fixture"),
+    ("fixture 9.9 1,2\nstored alpha\n", "errata entry 9.9 1,2 lacks computed"),
+])
+def test_errata_registry_errors(monkeypatch, text, message):
+    """A stored or computed value given twice in one entry is refused with its
+    line, not silently replaced by the second."""
+    monkeypatch.setattr(registry, "_data_text", lambda relpath: text)
+    with pytest.raises(RegistryError) as exc:
+        registry.load_errata()
+    assert str(exc.value) == message
+
+
+def test_errata_notes_are_joined(monkeypatch):
+    """Repeated note lines stay legal and are joined; each entry starts with none."""
+    text = ERRATUM + "note first\nnote  second\nfixture 9.9 2,1\ncomputed beta\nstored alpha\n"
+    monkeypatch.setattr(registry, "_data_text", lambda relpath: text)
+    first, second = registry.load_errata()
+    assert first.signature() == ("9.9", "1,2", "alpha", "beta")
+    assert second.signature() == ("9.9", "2,1", "alpha", "beta")
+    assert (first.note, second.note) == ("first second", "")
 
 
 def test_theorem_claims(monkeypatch):

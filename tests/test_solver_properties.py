@@ -19,7 +19,7 @@ import pytest
 
 from bottsol.algebra import Vec3, custom_spec
 from bottsol.pipeline import build, stage
-from bottsol.scalar import PARAMS, Poly, RatFun, UnboundParameter
+from bottsol.scalar import PARAMS, Poly, UnboundParameter
 from bottsol import soliton
 from bottsol.soliton import (
     _TERMS_PER_SUM, UNKNOWNS, IntegerRows, _solve_integer_rows, decide_at_point,
@@ -243,13 +243,6 @@ def test_a_vanishing_pivot_falls_back_to_the_loop(monkeypatch):
 
 exponents = st.tuples(*[st.integers(0, 2)] * len(PARAMS))
 polys = st.dictionaries(exponents, small, max_size=8).map(Poly)
-points = st.dictionaries(st.sampled_from(PARAMS), small, max_size=len(PARAMS))
-
-
-@SETTINGS
-@given(polys, points)
-def test_partial_eval_matches_symbolic_substitution(p, point):
-    assert p.partial_eval(point) == RatFun.coerce(p).substitute(point).num
 
 
 @SETTINGS

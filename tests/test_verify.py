@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from bottsol import pipeline, registry, soliton, verify
 from bottsol.registry import Claim, Fixture, FamilyRecord, TheoremRecord
 from bottsol.scalar import DenominatorZero, Poly, parse_poly, parse_ratfun
-from bottsol.soliton import UNKNOWNS, InconsistentFamily, IntegerRows, SolutionFamily, draw_points
+from bottsol.soliton import (
+    UNKNOWNS, InconsistentFamily, IntegerRows, SolutionFamily, draw_points, equation_values,
+)
 from bottsol.verify import (
     _EINSTEIN_ZERO,
     CONFIRMED,
@@ -21,10 +23,8 @@ from bottsol.verify import (
     MISMATCH,
     REFUTED,
     EntryDiff,
-    _bound_values,
     _diff_delta,
     _diff_system,
-    _equation_values,
     _family_from_record,
     _spot_check_family,
     verify_fixture,
@@ -368,13 +368,14 @@ def _first_points(system, binds, count=20):
 
 
 def test_compiled_bindings_equal_ratfun_values():
-    """The one compiled row of [numerator, denominator] pairs gives every bound
-    value helpers.ratfun_eval_at gives, in binding order, and None exactly
-    where it meets a zero denominator."""
+    """SolutionFamily.instantiate, with no nonzero side condition to test,
+    extends a point by every bound value helpers.ratfun_eval_at gives, in
+    binding order, and gives None exactly where it meets a zero
+    denominator."""
     families = vanished = 0
-    for system, _, binds in _claim_families():
+    for system, family, binds in _claim_families():
         families += 1
-        extend = _bound_values(binds)
+        bound_only = replace(family, side_nonzero=())
         for point in _first_points(system, binds):
             try:
                 expected = dict(point)
@@ -383,7 +384,7 @@ def test_compiled_bindings_equal_ratfun_values():
             except DenominatorZero:
                 expected = None
                 vanished += 1
-            full = extend(point)
+            full = bound_only.instantiate(point)
             assert full == expected
             assert full is None or list(full) == list(expected)
     assert families > 100 and vanished > 0
@@ -399,26 +400,29 @@ def _assert_positive_multiple(values, polys, point):
 
 
 def test_equation_and_side_rows_agree_with_eval_at():
-    """Each value _equation_values gives from SolitonSystem.integer_rows and
-    each value of a family's compiled nonzero side conditions is the
+    """Each value soliton.equation_values gives from SolitonSystem.integer_rows
+    and each value of a family's compiled nonzero side conditions is the
     polynomial's value times one positive constant, so every zero test
     agrees with Poly.eval_at, on the family locus (where the equations
-    vanish) and off it."""
-    zeros = 0
+    vanish) and off it; SolutionFamily.instantiate refuses a point exactly
+    where one of the side conditions vanishes."""
+    zeros = refused = 0
     for system, family, binds in _claim_families():
-        extend = _bound_values(binds)
-        side = IntegerRows.of([family.side_nonzero])
+        bound_only = replace(family, side_nonzero=())
         for point in _first_points(system, binds):
-            full = extend(point)
+            full = bound_only.instantiate(point)
             if full is None:
                 continue
             rows = system.integer_rows.at({k: v for k, v in full.items() if k not in UNKNOWNS})
-            zeros += _assert_positive_multiple(_equation_values(rows, full), system.equations,
+            zeros += _assert_positive_multiple(equation_values(rows, full), system.equations,
                                                full)
-            _assert_positive_multiple(side.at(full)[0], family.side_nonzero, full)
+            side_zeros = _assert_positive_multiple(family._nonzero_rows.at(full)[0],
+                                                   family.side_nonzero, full)
+            assert family.instantiate(point) == (None if side_zeros else full)
+            refused += bool(side_zeros)
             off = {**full, "mu": full["mu"] + 1}
-            _assert_positive_multiple(_equation_values(rows, off), system.equations, off)
-    assert zeros > 1000
+            _assert_positive_multiple(equation_values(rows, off), system.equations, off)
+    assert zeros > 1000 and refused > 0
 
 
 # sha256 of one line per point, f"{group} {distribution} {label} {sorted(point.items())}",

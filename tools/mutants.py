@@ -58,9 +58,6 @@ EQUIVALENT = {
     ("soliton", "IntegerRows._evaluate", "if len(sums) > 1:  # a long entry adds up its sums in a local",
      ">", ">="):
         "an entry of one sum is only moved into a local first; the value is the same",
-    ("soliton", "_value", "num, den = num * d + n * den, den * d", "+", "-"):
-        "every term list's value comes out negated, and a value is only tested for zero "
-        "or, as -b/a, divided by another negated one",
     ("curvature", "riemann", "for j in range(i + 1, 3):", "+", "-"):
         "the extra pairs j <= i are rewritten with the antisymmetric values they already hold",
 }

@@ -385,7 +385,9 @@ class ErrataEntry:
 def load_errata() -> list:
     text = _data_text("errata.tab")
     entries = []
+    first_line: dict = {}  # signature -> the line of the entry that gave it
     pending: dict | None = None
+    pending_line = 0
 
     def flush():
         nonlocal pending
@@ -396,7 +398,13 @@ def load_errata() -> list:
                         f"errata entry {pending['fixture_id']} {pending['key']} lacks {field_name}"
                     )
             pending.setdefault("note", "")
-            entries.append(ErrataEntry(**pending))
+            entry = ErrataEntry(**pending)
+            signature = entry.signature()
+            if signature in first_line:
+                raise RegistryError(f"errata line {pending_line}: entry {entry.fixture_id} "
+                                    f"{entry.key} repeats the entry of line {first_line[signature]}")
+            first_line[signature] = pending_line
+            entries.append(entry)
         pending = None
 
     for lineno, line in content_lines(text):
@@ -406,6 +414,7 @@ def load_errata() -> list:
             if len(parts) != 3:
                 raise RegistryError(f"errata line {lineno}: expected 'fixture <id> <key>'")
             pending = {"fixture_id": parts[1], "key": parts[2]}
+            pending_line = lineno
         elif pending is None:
             raise RegistryError(f"errata line {lineno}: directive before first fixture")
         elif line.startswith(("stored ", "computed ")):

@@ -7,9 +7,13 @@ arbitrary-precision rational coefficients:
     PARAMS = (alpha, beta, gamma, delta, a0, mu, mu1, mu2, mu3)
 
 A polynomial is a map from exponent vectors (one non-negative integer per
-parameter) to nonzero Fractions.  The empty map is the zero polynomial.
-Because the representation is canonical, symbolic equality is plain map
-equality and zero-testing is `not terms`.
+parameter) to nonzero rational coefficients.  A whole coefficient is stored
+as an int and any other as a Fraction with denominator above 1, so the
+common integer arithmetic skips Fraction's normalisation; the two types
+agree on ==, hash and str.  Every division reads its divisor as a Fraction,
+so two ints are never divided into a float.  The empty map is the zero
+polynomial.  Because the representation is canonical, symbolic equality is
+plain map equality and zero-testing is `not terms`.
 
 Monomials are ordered graded-lexicographically with the parameter order
 above, which makes printed forms and golden fixtures byte-stable.
@@ -29,7 +33,7 @@ PARAMS = ("alpha", "beta", "gamma", "delta", "a0", "mu", "mu1", "mu2", "mu3")
 NVARS = len(PARAMS)
 _INDEX = {name: i for i, name in enumerate(PARAMS)}
 _CONST_EXP = (0,) * NVARS
-_ZERO = Fraction(0)
+_ZERO = 0
 
 Exponent = tuple  # length-NVARS tuple of non-negative ints
 
@@ -66,18 +70,24 @@ def _power(base, n: int, one, mul):
     return result
 
 
+def _whole(c):
+    """A coefficient as stored: an int when it is a whole number."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
 def _grlex_key(exp: Exponent):
     # Sort key so that sorted(..., reverse=True) lists the leading monomial first.
     return (sum(exp), exp)
 
 
 class Poly:
-    """Immutable sparse polynomial over PARAMS with Fraction coefficients."""
+    """Immutable sparse polynomial over PARAMS with rational coefficients:
+    an int where a coefficient is whole, else a Fraction."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Exponent, Fraction] | None = None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
+    def __init__(self, terms: Mapping[Exponent, int | Fraction] | None = None):
+        self.terms = {e: _whole(c) for e, c in (terms or {}).items() if c != 0}
 
     @staticmethod
     def _trusted(terms: dict) -> "Poly":
@@ -95,7 +105,7 @@ class Poly:
 
     @staticmethod
     def const(value) -> "Poly":
-        c = Fraction(value)
+        c = value if type(value) is int else _whole(Fraction(value))
         return Poly._trusted({_CONST_EXP: c} if c else {})
 
     @staticmethod
@@ -104,7 +114,7 @@ class Poly:
             raise UnknownParameter(f"{name!r} is not in the parameter alphabet {PARAMS}")
         exp = [0] * NVARS
         exp[_INDEX[name]] = 1
-        return Poly._trusted({tuple(exp): Fraction(1)})
+        return Poly._trusted({tuple(exp): 1})
 
     # -- ring operations ---------------------------------------------------
 
@@ -127,6 +137,7 @@ class Poly:
                 if not c:
                     del out[e]
                     continue
+                c = _whole(c)
             out[e] = c
         return Poly._trusted(out)
 
@@ -186,7 +197,7 @@ class Poly:
                             out[e] = c if sign else -c
                         else:
                             out[e] = old + c if sign else old - c
-        return Poly._trusted({e: c for e, c in out.items() if c})
+        return Poly._trusted({e: _whole(c) for e, c in out.items() if c})
 
     def __eq__(self, other) -> bool:
         other = Poly._coerce(other)
@@ -253,16 +264,21 @@ class Poly:
             return self
         if not factor:
             return Poly._trusted({})
-        return Poly._trusted({e: c * factor for e, c in self.terms.items()})
+        factor = _whole(factor)
+        return Poly._trusted({e: _whole(c * factor) for e, c in self.terms.items()})
 
     def primitive(self) -> "Poly":
         """Divide out content and make the leading coefficient positive."""
         if not self.terms:
             return self
-        p = self.scaled(1 / self.content())
-        if p.leading()[1] < 0:
-            p = -p
-        return p
+        content = self.content()
+        if self.leading()[1] < 0:
+            content = -content
+        if content.denominator != 1:
+            return self.scaled(1 / content)
+        # A whole content means every coefficient is an int.
+        n = content.numerator
+        return self if n == 1 else Poly._trusted({e: c // n for e, c in self.terms.items()})
 
     def coefficient_of(self, name: str) -> "Poly":
         """Coefficient of the degree-1 part in `name` (the rest of each term)."""
@@ -375,7 +391,7 @@ def poly_div_exact(num: Poly, den: Poly) -> Poly | None:
     if den.is_zero():
         return None
     if den.is_constant():
-        return num.scaled(1 / den.constant_value())
+        return num.scaled(1 / Fraction(den.constant_value()))
     lead_e, lead_c = den.leading()
     q: dict = {}
     rest = num
@@ -384,8 +400,8 @@ def poly_div_exact(num: Poly, den: Poly) -> Poly | None:
         qe = tuple(a - b for a, b in zip(e, lead_e))
         if any(k < 0 for k in qe):
             return None
-        qc = c / lead_c
-        q[qe] = q.get(qe, Fraction(0)) + qc
+        qc = Fraction(c) / lead_c
+        q[qe] = q.get(qe, 0) + qc
         rest = rest - Poly({qe: qc}) * den
     return Poly(q)
 
@@ -436,15 +452,15 @@ class RatFun:
         if num.is_zero():
             return RatFun(num, _ONE)
         if den.is_constant():
-            return RatFun(num.scaled(1 / den.constant_value()), _ONE)
+            return RatFun(num.scaled(1 / Fraction(den.constant_value())), _ONE)
         q = poly_div_exact(num, den)
         if q is not None:
             return RatFun(q, _ONE)
         q = poly_div_exact(den, num)
         if q is not None:
             num, den = _ONE, q
-        lead = den.leading()[1]
-        return RatFun(num.scaled(1 / lead), den.scaled(1 / lead))
+        inverse = 1 / Fraction(den.leading()[1])
+        return RatFun(num.scaled(inverse), den.scaled(inverse))
 
     @staticmethod
     def coerce(value) -> "RatFun":
@@ -465,7 +481,7 @@ class RatFun:
     def as_poly(self) -> Poly:
         if not self.is_poly():
             raise ScalarError(f"{self} is not polynomial")
-        return self.num.scaled(1 / self.den.constant_value())
+        return self.num.scaled(1 / Fraction(self.den.constant_value()))
 
     def __add__(self, other) -> "RatFun":
         other = RatFun.coerce(other)
@@ -654,7 +670,7 @@ class _ExprParser:
             if scalar.is_zero():
                 raise DenominatorZero("division by zero in expression")
             if isinstance(scalar, Poly) and scalar.is_constant():
-                return {k: c * (1 / scalar.constant_value()) for k, c in a.items()}
+                return {k: c * (1 / Fraction(scalar.constant_value())) for k, c in a.items()}
             return {k: RatFun.coerce(c) / scalar for k, c in a.items()}
         # Two products share a key only when both operands have a basis
         # part, and then a product of two basis vectors raises first.

@@ -74,15 +74,14 @@ def _key_str(key) -> str:
     return ",".join(str(k) for k in key)
 
 
-def _primitive_set(polys) -> set:
-    return {p.primitive() for p in polys if not p.is_zero()}
-
-
 def _diff_system(expected: list, computed: tuple) -> list:
-    """The equations on one side only, compared as primitive polynomials; only
-    those are printed, sorted by their printed form, which is one to one on
-    primitive polynomials."""
-    expected, computed = _primitive_set(expected), _primitive_set(computed)
+    """The equations on one side only, compared as primitive polynomials: the
+    stored ones are made primitive here, and `soliton.build_system` builds
+    the computed ones primitive, nonzero and distinct.  Only those are
+    printed, sorted by their printed form, which is one to one on primitive
+    polynomials."""
+    expected = {p.primitive() for p in expected if not p.is_zero()}
+    computed = set(computed)
     return ([EntryDiff("equations", text, "(no matching equation)")
              for text in sorted(map(str, expected - computed))]
             + [EntryDiff("equations", "(no matching equation)", text)

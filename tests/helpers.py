@@ -269,7 +269,7 @@ def reference_solve_in_turn(constraints, point: dict, free: list, rng, cleared=N
             if cleared is not None:
                 cleared.add(c)
             continue
-        point[target] = -b / a
+        point[target] = -Fraction(b) / a
     for name in free:
         point.setdefault(name, rand())
     return True

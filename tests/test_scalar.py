@@ -306,6 +306,9 @@ def test_power_past_the_digit_limit_is_refused_before_expanding(text):
 def test_power_up_to_the_digit_limit_is_exact():
     assert parse_poly("2^14000") == Poly.const(2 ** 14000)  # 4,215 digits
     assert parse_poly("(1/3)^9000") == Poly.const(Fraction(1, 3 ** 9000))  # 4,295 digits
+    big = 10 ** 400  # past the range of a float, in the base of a power
+    assert parse_poly(f"({big}*alpha + 1/3)^2") == parse_poly(
+        f"{big ** 2}*alpha^2 + {2 * big}/3*alpha + 1/9")
 
 
 def test_large_exponent():
@@ -343,7 +346,10 @@ def _same_form(r, s):
 
 
 def _no_stored_zero(p):
-    return all(c != 0 for c in p.terms.values())
+    """No stored coefficient is zero, and each is an int where it is whole
+    and a Fraction otherwise: never a float, nor a whole Fraction."""
+    return all(c != 0 and (type(c) is int or type(c) is Fraction and c.denominator > 1)
+               for c in p.terms.values())
 
 
 @given(ratfuns(normalised=False), ratfuns(normalised=False), st.integers(0, 4))
@@ -373,6 +379,7 @@ def test_no_stored_zero_coefficient(p, q, k):
     results = (
         p + (-p), p - p, p.scaled(0), p * 0, p * Poly.zero(), p.scaled(k), p * k, k * p,
         p * Poly.const(k), -p, p + q, p - q, p * q, (p + q) * (p - q) - (p * p - q * q),
+        p.primitive(), Poly(p.terms), Poly({e: Fraction(c) for e, c in p.terms.items()}),
     )
     for r in results:
         assert _no_stored_zero(r)
@@ -404,6 +411,28 @@ def test_dot_is_the_sum_of_products(plus, minus, cancel):
                       (Poly.dot(iter(plus)), Poly.dot(plus, ()))):
         assert got.terms == want.terms
         assert _no_stored_zero(got)
+
+
+def test_whole_coefficients_are_ints():
+    """A whole coefficient is stored as an int, however it was reached, and a
+    division never leaves a float."""
+    alpha = Poly.var("alpha")
+    assert parse_poly("4/2*alpha").terms == {alpha.leading()[0]: 2}
+    assert type(parse_poly("4/2*alpha").leading()[1]) is int
+    assert type(Poly.const(Fraction(4, 2)).constant_value()) is int
+    assert Poly.const(Fraction(4, 2)).terms == {(0,) * scalar.NVARS: 2}
+    p = P("6*alpha + 4").primitive()
+    assert p == P("3*alpha + 2") and _no_stored_zero(p)
+    halved = RatFun.make(P("3*alpha + 4"), Poly.const(2))
+    assert halved.num == P("3/2*alpha + 2") and _no_stored_zero(halved.num)
+    quotient = poly_div_exact(P("2*alpha^2"), P("2*alpha"))
+    assert quotient == alpha and _no_stored_zero(quotient)
+    third = poly_div_exact(P("alpha"), P("3*alpha"))
+    assert third == Poly.const(Fraction(1, 3)) and _no_stored_zero(third)
+    quarter = RatFun(P("2*alpha"), Poly.const(4)).as_poly()
+    assert quarter == P("alpha/2") and _no_stored_zero(quarter)
+    half = parse_ratfun("(2*alpha + 2)/(4*alpha + 4)")
+    assert half == Fraction(1, 2) and _no_stored_zero(half.num)
 
 
 def test_dot_signs_and_constants():

@@ -109,6 +109,15 @@ class TestBuildSystem:
                 count += 1
         assert count == 42
 
+    def test_catalog_systems_are_built_primitive_and_distinct(self):
+        """verify compares computed equations as built, so each must already
+        be nonzero, primitive and listed once."""
+        for config in all_configurations():
+            equations = stage(*config).system.equations
+            assert len(set(equations)) == len(equations), config
+            for eq in equations:
+                assert not eq.is_zero() and eq == eq.primitive(), (config, str(eq))
+
 
 class TestCheckFamily:
     def test_satisfied_family_for_g3(self):

@@ -1,7 +1,9 @@
 """Mutation score of the tier-1 tests over the kernel modules.
 
-Makes one mutant per `+` or `-` (swapped for the other) and per comparison
-(`<`/`<=`, `>`/`>=` and `==`/`!=` flipped) in the modules of MODULES, runs
+Makes one mutant per `+` or `-` (swapped for the other), per `/` or `//`
+(swapped for the other: a whole coefficient is an int, and int / int is a
+float) and per comparison (`<`/`<=`, `>`/`>=` and `==`/`!=` flipped) in the
+modules of MODULES, runs
 tier-1 on each, and prints every mutant the tests do not kill (DeMillo,
 Lipton and Sayward 1978, "Hints on test data selection", IEEE Computer
 11(4):34).  A survivor listed in EQUIVALENT changes no behaviour, for the
@@ -41,6 +43,7 @@ IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_
 
 SWAPS = {
     ast.Add: ("+", "-"), ast.Sub: ("-", "+"),
+    ast.Div: ("/", "//"), ast.FloorDiv: ("//", "/"),
     ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"),
     ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
     ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="),
@@ -49,12 +52,17 @@ SWAPS = {
 # Survivors that change no behaviour, keyed by (module, enclosing function,
 # the mutated line's source text, operator before, operator after).
 EQUIVALENT = {
-    ("scalar", "Poly.primitive", "if p.leading()[1] < 0:", "<", "<="):
+    ("scalar", "Poly.primitive", "if self.leading()[1] < 0:", "<", "<="):
         "a leading coefficient is never zero",
     ("scalar", "Poly.__str__", 'sign = "-" if c.numerator < 0 else "+"', "<", "<="):
         "a stored coefficient is never zero",
     ("scalar", "_ExprParser._combine", "c = c if sign > 0 else -c", ">", ">="):
         "sign is +1 or -1, never zero",
+    ("scalar", "_ExprParser._factor", "if limit and height > 1 and n > limit / log10(height):",
+     "/", "//"):
+        "n is an int, and an int exceeds a positive x exactly when it exceeds floor(x); the "
+        "float quotient and its floor differ in the test only where the quotient rounds up to "
+        "a whole number, and there // follows the exact value",
     ("soliton", "IntegerRows._evaluate", "if len(sums) > 1:  # a long entry adds up its sums in a local",
      ">", ">="):
         "an entry of one sum is only moved into a local first; the value is the same",

@@ -16,7 +16,7 @@ import sys
 from . import __version__, pipeline, registry, verify
 from .algebra import GROUPS, InvalidAlgebra, UnknownId, parse_custom_file, screen_jacobi
 from .connection import DISTRIBUTIONS
-from .soliton import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_SPOT_SAMPLES
+from .soliton import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_SPOT_SAMPLES, UNKNOWNS
 
 EX_USAGE = 64
 
@@ -170,7 +170,7 @@ def _cmd_print(args) -> int:
     if args.command == "print-system":
         shown = stage.system
         payload = {"equations": [str(eq) for eq in shown.equations],
-                   "unknowns": ["mu1", "mu2", "mu3", "mu"]}
+                   "unknowns": list(UNKNOWNS)}
     else:
         if args.command == "print-connection":
             shown = stage.levi_civita if args.kind == "levi-civita" else stage.conn

@@ -200,8 +200,9 @@ def load_fixtures() -> list:
 #   [theorem <id> group=G1 dist=D (perturbed)? kind=<not_soliton|families>]
 #   [corollary <id> dist=D kind=einstein]
 #   family <label>:            starts a family (a families theorem or an
-#                              einstein clause)
-#   clause <group> <kind>:     starts a corollary clause (einstein|not_einstein)
+#                              einstein clause, each of which lists one or more)
+#   clause <group> <kind>:     starts a corollary clause (einstein|not_einstein);
+#                              a corollary has one or more
 #   bind <name> = <ratfun>
 #   zero <poly>                side condition: must vanish
 #   nonzero <poly>             side condition: must stay nonzero
@@ -295,6 +296,8 @@ def _freeze(value):
 def load_theorems() -> list:
     records: list = []
     claim = family = None  # the claim new families join; the family being read
+    # (line, what it lacks, the list that must not stay empty), checked at the end
+    to_fill: list = []
     for lineno, line in content_lines(_data_text("theorems.tab")):
         m = _THM_HEADER.match(line)
         if m:
@@ -302,6 +305,9 @@ def load_theorems() -> list:
             kind, group = kv.get("kind"), kv.get("group")
             if kind not in ("not_soliton", "families", "einstein"):
                 raise RegistryError(f"theorems line {lineno}: unknown theorem kind {kind!r}")
+            if (m.group(1) == "corollary") != (kind == "einstein"):
+                raise RegistryError(f"theorems line {lineno}: {m.group(1)} {m.group(2)} has "
+                                    f"kind={kind}; a corollary, and only one, has kind=einstein")
             if m.group(1) == "theorem":
                 _named("group", group, GROUPS, lineno)
             dist = _named("dist", kv.get("dist"), DISTRIBUTIONS, lineno)
@@ -310,9 +316,13 @@ def load_theorems() -> list:
             records.append(TheoremRecord(m.group(2), group, dist,
                                          kv.get("perturbed", False), kind, []))
             claim = family = None
-            if kind != "einstein":
+            if kind == "einstein":
+                to_fill.append((lineno, f"corollary {m.group(2)} has no clause", records[-1].claims))
+            else:
                 claim = Claim(group, False, None if kind == "not_soliton" else [])
                 records[-1].claims.append(claim)
+                if kind == "families":
+                    to_fill.append((lineno, f"theorem {m.group(2)} lists no family", claim.families))
             continue
         if not records:
             raise RegistryError(f"theorems line {lineno}: content before first block")
@@ -327,6 +337,8 @@ def load_theorems() -> list:
             group = _named("group", m.group(1), GROUPS, lineno)
             claim = Claim(group, True, [] if m.group(2) == "einstein" else None)
             records[-1].claims.append(claim)
+            if claim.families is not None:
+                to_fill.append((lineno, f"clause {group} einstein lists no family", claim.families))
             family = None
             continue
         if line.startswith("family "):
@@ -352,6 +364,9 @@ def load_theorems() -> list:
         else:
             entry = arg.strip()
         getattr(family, _FAMILY_FIELDS[directive, completion]).append(entry)
+    for lineno, lack, filled in to_fill:
+        if not filled:
+            raise RegistryError(f"theorems line {lineno}: {lack}")
     return [_freeze(rec) for rec in records]
 
 

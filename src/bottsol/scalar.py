@@ -160,15 +160,7 @@ class Poly:
             return self.scaled(other.constant_value())
         if self.is_constant():
             return other.scaled(self.constant_value())
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                if e in out:
-                    out[e] += c1 * c2
-                else:
-                    out[e] = c1 * c2
-        return Poly(out)
+        return Poly.dot([(self, other)])
 
     __rmul__ = __mul__
 
@@ -178,7 +170,8 @@ class Poly:
         sum over `minus`, accumulated in one exponent -> coefficient dict: no
         product or partial sum is built as a Poly of its own.  A constant
         operand adds no exponents, and a coefficient of +1 or -1 multiplies
-        nothing: it only sets the sign of the other operand's coefficients."""
+        nothing: it only sets the sign of the other operand's coefficients.
+        `*` of two non-constants is one pair's dot; `Poly(...)` normalises."""
         out: dict = {}
         get = out.get
         for pairs, positive in ((plus, True), (minus, False)):
@@ -197,7 +190,7 @@ class Poly:
                             out[e] = c if sign else -c
                         else:
                             out[e] = old + c if sign else old - c
-        return Poly._trusted({e: _whole(c) for e, c in out.items() if c})
+        return Poly(out)
 
     def __eq__(self, other) -> bool:
         other = Poly._coerce(other)
@@ -247,17 +240,6 @@ class Poly:
         e = max(self.terms, key=_grlex_key)
         return e, self.terms[e]
 
-    def content(self) -> Fraction:
-        """Positive rational c such that self/c has coprime integer coefficients."""
-        if not self.terms:
-            return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
-
     def scaled(self, factor) -> "Poly":
         """self * factor for an int or Fraction factor."""
         if factor == 1:
@@ -268,16 +250,17 @@ class Poly:
         return Poly._trusted({e: _whole(c * factor) for e, c in self.terms.items()})
 
     def primitive(self) -> "Poly":
-        """Divide out content and make the leading coefficient positive."""
+        """self over its content (the numerators' gcd over the denominators'
+        lcm, both ints), with a positive leading coefficient."""
         if not self.terms:
             return self
-        content = self.content()
+        n = gcd(*(c.numerator for c in self.terms.values()))
+        d = lcm(*(c.denominator for c in self.terms.values()))
         if self.leading()[1] < 0:
-            content = -content
-        if content.denominator != 1:
-            return self.scaled(1 / content)
-        # A whole content means every coefficient is an int.
-        n = content.numerator
+            n = -n
+        if d != 1:
+            return self.scaled(Fraction(d, n))
+        # A denominator lcm of 1 means every coefficient is an int.
         return self if n == 1 else Poly._trusted({e: c // n for e, c in self.terms.items()})
 
     def coefficient_of(self, name: str) -> "Poly":
@@ -401,7 +384,7 @@ def poly_div_exact(num: Poly, den: Poly) -> Poly | None:
         if any(k < 0 for k in qe):
             return None
         qc = Fraction(c) / lead_c
-        q[qe] = q.get(qe, 0) + qc
+        q[qe] = qc  # quotient exponents strictly fall in grlex order
         rest = rest - Poly({qe: qc}) * den
     return Poly(q)
 
@@ -447,12 +430,11 @@ class RatFun:
 
     @staticmethod
     def make(num: Poly, den: Poly) -> "RatFun":
+        """num/den normalised; `poly_div_exact` divides out a constant den."""
         if den.is_zero():
             raise DenominatorZero("identically zero denominator")
         if num.is_zero():
             return RatFun(num, _ONE)
-        if den.is_constant():
-            return RatFun(num.scaled(1 / Fraction(den.constant_value())), _ONE)
         q = poly_div_exact(num, den)
         if q is not None:
             return RatFun(q, _ONE)
@@ -481,7 +463,7 @@ class RatFun:
     def as_poly(self) -> Poly:
         if not self.is_poly():
             raise ScalarError(f"{self} is not polynomial")
-        return self.num.scaled(1 / Fraction(self.den.constant_value()))
+        return poly_div_exact(self.num, self.den)
 
     def __add__(self, other) -> "RatFun":
         other = RatFun.coerce(other)

@@ -53,6 +53,18 @@ HEADER = "[theorem 9.1 group=G1 dist=D kind=families]\n"
      "theorems line 1: dist given twice in theorem header"),
     (HEADER + "family 1:\n  bind mu = 0\n[theorem 9.1 group=G2 dist=D kind=not_soliton]\n",
      "theorems line 4: record 9.1 listed twice"),
+    ("[theorem 9.0 group=G2 dist=D kind=not_soliton]\n" + HEADER,
+     "theorems line 2: theorem 9.1 lists no family"),
+    ("[corollary C9.2 dist=D kind=einstein]\n", "theorems line 1: corollary C9.2 has no clause"),
+    ("[corollary C9.2 dist=D kind=einstein]\nclause G1 not_einstein:\nclause G2 einstein:\n"
+     "clause G3 einstein:\nfamily 1:\n  bind mu = 0\n",
+     "theorems line 3: clause G2 einstein lists no family"),
+    ("[corollary C9.2 group=G1 dist=D kind=families]\nfamily 1:\n  bind mu = 0\n",
+     "theorems line 1: corollary C9.2 has kind=families; a corollary, and only one, "
+     "has kind=einstein"),
+    ("[theorem 9.1 group=G1 dist=D kind=einstein]\nclause G1 not_einstein:\n",
+     "theorems line 1: theorem 9.1 has kind=einstein; a corollary, and only one, "
+     "has kind=einstein"),
 ])
 def test_theorem_registry_errors(monkeypatch, text, message):
     monkeypatch.setattr(registry, "_data_text", lambda relpath: text)

@@ -1,6 +1,7 @@
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -399,18 +400,36 @@ _pair_lists = st.lists(st.tuples(_operands, _operands), max_size=5)
 @settings(max_examples=150, deadline=None)
 @example([(Poly.var("alpha"), Poly.var("beta"))], [], [True])
 def test_dot_is_the_sum_of_products(plus, minus, cancel):
-    """Poly.dot equals the sum built by +, - and *; pairs of `plus` repeated
-    in `minus`, swapped, make sums that cancel, down to the zero polynomial."""
+    """Poly.dot equals the sum built by + and - of schoolbook products (not
+    by *, which is itself a dot); pairs of `plus` repeated in `minus`,
+    swapped, make sums that cancel, down to the zero polynomial."""
     minus = minus + [(b, a) for (a, b), repeat in zip(plus, cancel) if repeat]
     expected = Poly.zero()
     for a, b in plus:
-        expected = expected + a * b
+        expected = expected + Poly(_schoolbook_product(a, b))
     for a, b in minus:
-        expected = expected - a * b
+        expected = expected - Poly(_schoolbook_product(a, b))
     for got, want in ((Poly.dot(plus, minus), expected), (Poly.dot(minus, plus), -expected),
                       (Poly.dot(iter(plus)), Poly.dot(plus, ()))):
         assert got.terms == want.terms
         assert _no_stored_zero(got)
+
+
+@given(polys())
+@settings(max_examples=150, deadline=None)
+def test_primitive_contract(p):
+    """primitive() has int coefficients with gcd 1 and a positive leading
+    coefficient, is p times a nonzero rational, and returns a primitive
+    polynomial itself."""
+    q = p.primitive()
+    assert q.primitive() is q
+    if p.is_zero():
+        assert q is p
+        return
+    assert all(type(c) is int for c in q.terms.values())
+    assert gcd(*q.terms.values()) == 1 and q.leading()[1] > 0
+    ratio = Fraction(q.leading()[1]) / p.leading()[1]
+    assert ratio and q.terms == {e: c * ratio for e, c in p.terms.items()}
 
 
 def test_whole_coefficients_are_ints():

@@ -332,7 +332,7 @@ def main(argv=None) -> int:
         code = args.run(args)
         sys.stdout.flush()
         return code
-    except UnknownId as exc:
+    except (UnknownId, registry.RegistryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
     except BrokenPipeError:

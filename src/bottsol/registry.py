@@ -310,6 +310,9 @@ def load_theorems() -> list:
                                     f"kind={kind}; a corollary, and only one, has kind=einstein")
             if m.group(1) == "theorem":
                 _named("group", group, GROUPS, lineno)
+            elif group is not None:
+                raise RegistryError(f"theorems line {lineno}: corollary {m.group(2)} names no "
+                                    f"group=; each clause names its own")
             dist = _named("dist", kv.get("dist"), DISTRIBUTIONS, lineno)
             if any(rec.id == m.group(2) for rec in records):
                 raise RegistryError(f"theorems line {lineno}: record {m.group(2)} listed twice")

@@ -304,81 +304,11 @@ def _powers(base: str, k: int) -> list:
 
 @lru_cache(maxsize=None)
 def _code(source: str, filename: str):
-    """The code object of a generated source, compiled once per text.  Many
-    systems share a source, since no coefficient is ever written into one;
-    pipeline.stage.cache_clear empties this cache with the stages."""
+    """The code object of a generated evaluator (`IntegerRows._evaluate`),
+    compiled once per source text.  Many rows share a source, since no
+    coefficient is ever written into one; pipeline.stage.cache_clear empties
+    this cache with the stages."""
     return compile(source, filename, "exec")
-
-
-def _elimination_source(pattern: tuple) -> str:
-    """`_solve_integer_rows` unrolled over one zero pattern: pattern[r][c] is
-    False where column c of row r is structurally zero, so every row at
-    every point is zero there.
-
-    The elimination is run on the pattern at generation time: an entry stays
-    a structural zero while both of its products are, and each column's pivot
-    is the loop's, the first row at or below the current one that is not a
-    structural zero there.  The generated function holds one local per entry
-    that is not, guards each pivot and calls `fallback(rows)` where one
-    vanishes at the point, since the loop would then pick a later row.  Rows
-    below the rank are structural zeros in every unknown's column, so only
-    their constants are tested.  Each quotient keeps the loop's remainder
-    check except those by the loop's first `previous = 1`."""
-    n = len(UNKNOWNS)
-    m = [[f"a{r}_{c}" if nonzero else None for c, nonzero in enumerate(row)]
-         for r, row in enumerate(pattern)]
-    targets = ", ".join(f"[{', '.join(name or '_' for name in row)}]" for row in m)
-    body = [f"[{targets}] = rows"]
-    previous = None  # the loop's previous pivot; None while it is the literal 1
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = next((k for k in range(r, len(m)) if m[k][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        top = m[r]
-        p = top[col]
-        body.append(f"if not {p}: return fallback(rows)")
-        for row in m[r + 1:]:
-            f = row[col]
-            row[col] = None
-            for j in range(col + 1, n + 1):
-                x, y = row[j], top[j]
-                if x and f and y:
-                    value = f"{p} * {x} - {f} * {y}"
-                elif x:
-                    value = f"{p} * {x}"
-                elif f and y:
-                    value = f"-{f} * {y}"
-                else:
-                    continue
-                row[j] = f"b{len(body)}"
-                if previous is None:
-                    body.append(f"{row[j]} = {value}")
-                else:
-                    body.append(f"{row[j]}, rem = divmod({value}, {previous})")
-                    body.append("if rem: raise AssertionError('inexact Bareiss division')")
-        previous = p
-        pivots.append(col)
-        r += 1
-    for row in m[r:]:
-        if any(row[:n]):
-            raise AssertionError("elimination left a stray nonzero row")
-    constants = [row[n] for row in m[r:] if row[n]]
-    if constants:
-        body.append(f"if {' or '.join(constants)}: return PointVerdict(False)")
-    for row_idx in reversed(range(r)):
-        row = m[row_idx]
-        terms = [f"{row[n]} * {previous}"] if row[n] else []
-        terms += [f"{row[j]} * s{j}" for j in pivots[row_idx + 1:] if row[j]]
-        body.append(f"s{pivots[row_idx]}, rem = divmod(-({' + '.join(terms) or '0'}), "
-                    f"{row[pivots[row_idx]]})")
-        body.append("if rem: raise AssertionError('inexact Cramer back-substitution')")
-    witness = ", ".join(f"{name!r}: " + (f"Fraction(s{c}, {previous})" if c in pivots else "ZERO")
-                        for c, name in enumerate(UNKNOWNS))
-    body.append(f"return PointVerdict(True, {{{witness}}}, {n - len(pivots)})")
-    return "\n".join(["def solve(rows):"] + [f"    {line}" for line in body])
 
 
 @dataclass(frozen=True)
@@ -474,49 +404,50 @@ class IntegerRows:
                 f"no value for {sorted(n for n in self.names if n not in point)}"
             ) from None
 
-    @cached_property
-    def solve(self):
-        """`solve(rows)` is the PointVerdict of rows [mu1, mu2, mu3, mu, const]
-        that `at` gave: `_solve_integer_rows`'s verdict, witness and
-        dimension, without changing `rows`.  It is straight-line code on
-        locals, generated on first use from the zero pattern alone
-        (`_elimination_source`)."""
-        namespace = {"Fraction": Fraction, "PointVerdict": PointVerdict, "ZERO": Fraction(0),
-                     "fallback": _solve_copy}
-        pattern = tuple(tuple(map(bool, row)) for row in self.rows)
-        exec(_code(_elimination_source(pattern), "<IntegerRows.solve>"), namespace)
-        return namespace["solve"]
-
 
 def _solve_integer_rows(m: list, n_unknowns: int) -> PointVerdict:
-    """Fraction-free (Bareiss) elimination of integer rows to echelon form, in place.
+    """Fraction-free (Bareiss) elimination of integer rows to echelon form, in
+    place: the rows `m` are consumed, and the caller keeps a copy if it reads
+    them again.
 
     Every entry it produces is a minor of the input, so each division by the
-    previous pivot is exact.  The witness sets the free unknowns to 0, which
-    gives the same witness as reduced row echelon form.  The last pivot is
-    the determinant of the pivot rows and columns, so by Cramer's rule it
-    times each pivot unknown is an integer: back-substitution runs on those
-    integers, and each pivot unknown takes one Fraction at the end.
+    previous pivot is exact; it is checked, except while the previous pivot
+    is the first one's 1.  A row that is 0 in the pivot column keeps its
+    entries when the pivot equals the previous pivot, as each would be
+    multiplied and divided by the same number.  The witness sets the free
+    unknowns to 0, which gives the same witness as reduced row echelon form.
+    The last pivot is the determinant of the pivot rows and columns, so by
+    Cramer's rule it times each pivot unknown is an integer:
+    back-substitution runs on those integers, and each pivot unknown takes
+    one Fraction at the end.
     """
     pivots = []
     previous = 1
     r = 0
     for col in range(n_unknowns):
-        pivot = next((k for k in range(r, len(m)) if m[k][col]), None)
-        if pivot is None:
+        for k in range(r, len(m)):
+            if m[k][col]:
+                break
+        else:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        m[r], m[k] = m[k], m[r]
         top = m[r]
         p = top[col]
         tail = range(col + 1, n_unknowns + 1)
         for row in m[r + 1:]:
             f = row[col]
+            if not f and p == previous:
+                continue
             row[col] = 0
-            for j in tail:
-                q, rem = divmod(p * row[j] - f * top[j], previous)
-                if rem:
-                    raise AssertionError("inexact Bareiss division")
-                row[j] = q
+            if previous != 1:
+                for j in tail:
+                    q, rem = divmod(p * row[j] - f * top[j], previous)
+                    if rem:
+                        raise AssertionError("inexact Bareiss division")
+                    row[j] = q
+            else:
+                for j in tail:
+                    row[j] = p * row[j] - f * top[j]
         previous = p
         pivots.append(col)
         r += 1
@@ -541,20 +472,24 @@ def _solve_integer_rows(m: list, n_unknowns: int) -> PointVerdict:
     return PointVerdict(True, dict(zip(UNKNOWNS, witness)), n_unknowns - len(pivots))
 
 
-def _solve_copy(rows: list) -> PointVerdict:
-    return _solve_integer_rows([list(row) for row in rows], len(UNKNOWNS))
-
-
 def solve_at_point(system: SolitonSystem, point: Mapping[str, Fraction],
                    rows: list | None = None) -> PointVerdict:
     """The verdict at a point that check_point_admissible has admitted.
-    `rows` is system.integer_rows.at(point) when the caller has it already."""
-    compiled = system.integer_rows
-    return compiled.solve(compiled.at(point) if rows is None else rows)
+    `rows` is system.integer_rows.at(point) when the caller has it already;
+    those rows are left unchanged, and a copy is eliminated.  Rows evaluated
+    here are eliminated in place."""
+    if rows is None:
+        rows = system.integer_rows.at(point)
+    else:
+        rows = [list(row) for row in rows]
+    return _solve_integer_rows(rows, len(UNKNOWNS))
 
 
 def decide_at_point(system: SolitonSystem, point: Mapping[str, Fraction],
                     rows: list | None = None) -> PointVerdict:
+    """check_point_admissible, then solve_at_point: ConstraintViolated at a
+    point it refuses, else the verdict.  `rows`, when given, are left
+    unchanged; rows it evaluates itself are consumed."""
     check_point_admissible(system, point)
     return solve_at_point(system, point, rows)
 

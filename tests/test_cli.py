@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from bottsol import registry
 from bottsol.cli import EX_USAGE, build_parser, main
 from bottsol.pipeline import stage
 from helpers import all_configurations
@@ -134,6 +135,18 @@ class TestVerifyCommands:
         code, _, err = run(capsys, "verify-fixture", "--id", "99.99")
         assert code == EX_USAGE
         assert "unknown fixture ids: ['99.99']" in err
+
+    def test_bad_data_file_exit_code(self, capsys, monkeypatch):
+        """A data file the loaders refuse is an input error: exit 64 and the
+        loader's message, with no traceback."""
+        shipped = registry._data_text
+        monkeypatch.setattr(registry, "_data_text", lambda relpath: (
+            "[corollary C9.2 group=G1 dist=D kind=einstein]\nclause G1 not_einstein:\n"
+            if relpath == "theorems.tab" else shipped(relpath)))
+        code, _, err = run(capsys, "verify-all")
+        assert code == EX_USAGE
+        assert err == ("error: theorems line 1: corollary C9.2 names no group=; "
+                       "each clause names its own\n")
 
     def test_verify_theorem_confirmed(self, capsys):
         code, out, _ = run(capsys, "verify-theorem", "--id", "2.5", "--samples", "100")

@@ -65,6 +65,9 @@ HEADER = "[theorem 9.1 group=G1 dist=D kind=families]\n"
     ("[theorem 9.1 group=G1 dist=D kind=einstein]\nclause G1 not_einstein:\n",
      "theorems line 1: theorem 9.1 has kind=einstein; a corollary, and only one, "
      "has kind=einstein"),
+
+    ("[corollary C9.2 group=G9 dist=D perturbed kind=einstein]\nclause G1 not_einstein:\n",
+     "theorems line 1: corollary C9.2 names no group=; each clause names its own"),
 ])
 def test_theorem_registry_errors(monkeypatch, text, message):
     monkeypatch.setattr(registry, "_data_text", lambda relpath: text)

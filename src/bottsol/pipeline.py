@@ -73,12 +73,13 @@ def stage(group: str, dist_name: str, perturbed: bool = False, eta_sign: int | N
 
 def _cache_clear() -> None:
     """Empty the stage cache, the per-algebra cache behind it, the code
-    objects of the row evaluators generated for the stages' systems and the
-    parsed stored expressions, so the next run starts as a fresh process
-    does."""
+    objects of the row evaluators generated for the stages' systems, the
+    sample plans and the parsed stored expressions, so the next run starts
+    as a fresh process does."""
     _catalog_stage.cache_clear()
     _catalog_algebra.cache_clear()
     soliton._code.cache_clear()
+    soliton._plans.clear()
     registry.parsed.cache_clear()
 
 

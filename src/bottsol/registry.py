@@ -77,9 +77,12 @@ def parsed(parser: str, text: str, eta=None):
     and G4 sign.  Table rows and theorem lines repeat the same expressions
     many times; the values are immutable, so every load shares them.  The
     parser is looked up on `scalar` at each miss, so a wrapper put there
-    sees every parse.  pipeline.stage.cache_clear empties this cache with
-    the stages.  check-custom input never comes through here."""
-    return getattr(scalar, parser)(text, eta=eta)
+    sees every parse; text it refuses is a RegistryError naming both.
+    pipeline.stage.cache_clear empties it; check-custom input never gets here."""
+    try:
+        return getattr(scalar, parser)(text, eta=eta)
+    except scalar.ScalarError as exc:
+        raise RegistryError(f"{parser} refuses stored text {text!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -278,6 +278,9 @@ class PointVerdict:
         return f"Solvable({w}; dimension {self.dimension})"
 
 
+_INCONSISTENT, _ZERO = PointVerdict(False), Fraction(0)  # immutable, so every solve shares them
+
+
 def check_point_admissible(system: SolitonSystem, point: Mapping[str, Fraction]) -> None:
     missing = [p for p in system.parameters if p not in point]
     if missing:
@@ -410,18 +413,21 @@ def _solve_integer_rows(m: list, n_unknowns: int) -> PointVerdict:
     place: the rows `m` are consumed, and the caller keeps a copy if it reads
     them again.
 
-    Every entry it produces is a minor of the input, so each division by the
-    previous pivot is exact; it is checked, except while the previous pivot
-    is the first one's 1.  A row that is 0 in the pivot column keeps its
-    entries when the pivot equals the previous pivot, as each would be
-    multiplied and divided by the same number.  The witness sets the free
-    unknowns to 0, which gives the same witness as reduced row echelon form.
-    The last pivot is the determinant of the pivot rows and columns, so by
-    Cramer's rule it times each pivot unknown is an integer:
-    back-substitution runs on those integers, and each pivot unknown takes
-    one Fraction at the end.
+    Row scaling is deferred: a row that is 0 in the pivot column is left as
+    it is, and each row keeps its level, the pivot it was last multiplied by
+    (1 at the start).  Its entries are Bareiss's minors times level /
+    previous pivot, so an update divides by the row's own level (none at 1),
+    and a new pivot row is first multiplied by previous pivot / level; each
+    division is exact and checked.  Pivot rows and pivots are Bareiss's;
+    rows below the rank may keep an older level, which no zero test sees.
+    The witness sets the free unknowns to 0, which gives the same witness as
+    reduced row echelon form.  The last pivot is the determinant of the
+    pivot rows and columns, so by Cramer's rule it times each pivot unknown
+    is an integer: back-substitution runs on those integers, and each pivot
+    unknown takes one Fraction at the end.
     """
     pivots = []
+    levels = [1] * len(m)
     previous = 1
     r = 0
     for col in range(n_unknowns):
@@ -431,23 +437,30 @@ def _solve_integer_rows(m: list, n_unknowns: int) -> PointVerdict:
         else:
             continue
         m[r], m[k] = m[k], m[r]
+        level, levels[k] = levels[k], levels[r]
         top = m[r]
+        if level != previous:
+            for j in range(col, n_unknowns + 1):
+                top[j], rem = divmod(top[j] * previous, level)
+                if rem:
+                    raise AssertionError("inexact Bareiss division")
         p = top[col]
         tail = range(col + 1, n_unknowns + 1)
-        for row in m[r + 1:]:
+        for i, row in enumerate(m[r + 1:], r + 1):
             f = row[col]
-            if not f and p == previous:
+            if not f:
                 continue
             row[col] = 0
-            if previous != 1:
+            level = levels[i]
+            if level != 1:
                 for j in tail:
-                    q, rem = divmod(p * row[j] - f * top[j], previous)
+                    row[j], rem = divmod(p * row[j] - f * top[j], level)
                     if rem:
                         raise AssertionError("inexact Bareiss division")
-                    row[j] = q
             else:
                 for j in tail:
                     row[j] = p * row[j] - f * top[j]
+            levels[i] = p
         previous = p
         pivots.append(col)
         r += 1
@@ -455,7 +468,7 @@ def _solve_integer_rows(m: list, n_unknowns: int) -> PointVerdict:
         if any(row[:n_unknowns]):
             raise AssertionError("elimination left a stray nonzero row")
         if row[n_unknowns]:
-            return PointVerdict(False)
+            return _INCONSISTENT
     scaled = [0] * n_unknowns  # previous times each unknown
     for row_idx in reversed(range(r)):
         row = m[row_idx]
@@ -466,7 +479,7 @@ def _solve_integer_rows(m: list, n_unknowns: int) -> PointVerdict:
         if rem:
             raise AssertionError("inexact Cramer back-substitution")
         scaled[pivots[row_idx]] = v
-    witness = [Fraction(0)] * n_unknowns
+    witness = [_ZERO] * n_unknowns
     for col in pivots:
         witness[col] = Fraction(scaled[col], previous)
     return PointVerdict(True, dict(zip(UNKNOWNS, witness)), n_unknowns - len(pivots))
@@ -650,10 +663,18 @@ def random_points(system: SolitonSystem, count: int, seed: int = DEFAULT_SEED) -
     return points
 
 
+_plans: dict = {}  # emptied by pipeline.stage.cache_clear with the stages
+
+
 def sample_plan(system: SolitonSystem, minimum: int = DEFAULT_SAMPLES,
-                seed: int = DEFAULT_SEED) -> list:
-    """Grid plus enough seeded random points to reach the requested minimum."""
-    points = grid_points(system)
-    need = max(50, minimum - len(points))
-    points.extend(random_points(system, need, seed=seed))
-    return points
+                seed: int = DEFAULT_SEED) -> tuple:
+    """Grid plus enough seeded random points to reach the requested minimum,
+    drawn once per parameters, constraints, minimum and seed, all a plan
+    depends on: one group's systems share one tuple."""
+    key = (system.parameters, system.equality_constraints, system.nonzero_constraints, minimum, seed)
+    plan = _plans.get(key)
+    if plan is None:
+        points = grid_points(system)
+        need = max(50, minimum - len(points))
+        plan = _plans[key] = tuple(points + random_points(system, need, seed=seed))
+    return plan

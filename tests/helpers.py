@@ -160,6 +160,30 @@ def reference_solve(rows: list, n_unknowns: int) -> PointVerdict:
     return PointVerdict(True, dict(zip(UNKNOWNS, witness)), n_unknowns - len(pivots))
 
 
+def reference_bareiss(m: list, n_unknowns: int) -> PointVerdict:
+    """Eager fraction-free (Bareiss) elimination of integer rows, in place:
+    at each pivot every row below it is updated and divided by the previous
+    pivot, whether it is 0 in the pivot column or not, so every row holds
+    minors of the input at the pivot's level.  The verdict is Gauss-Jordan's
+    on the eliminated rows."""
+    previous = 1
+    r = 0
+    for col in range(n_unknowns):
+        pivot = next((k for k in range(r, len(m)) if m[k][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        p = m[r][col]
+        for row in m[r + 1:]:
+            f = row[col]
+            for j, (a, b) in enumerate(zip(row, m[r])):
+                row[j], rem = divmod(p * a - f * b, previous)
+                assert not rem, "inexact Bareiss division"
+        previous = p
+        r += 1
+    return reference_solve(m, n_unknowns)
+
+
 def reference_at(rows: IntegerRows, point) -> list:
     """`IntegerRows.at` as a loop over monomials, columns and terms."""
     try:

@@ -148,6 +148,19 @@ class TestVerifyCommands:
         assert err == ("error: theorems line 1: corollary C9.2 names no group=; "
                        "each clause names its own\n")
 
+    def test_stored_text_the_parser_refuses_exit_code(self, capsys, monkeypatch):
+        """A stored expression that does not parse is refused when it is
+        first parsed, while verify-all runs: exit 64, with the parser and the
+        text named, and no traceback."""
+        shipped = registry._data_text
+        monkeypatch.setattr(registry, "_data_text", lambda relpath: (
+            shipped(relpath).replace("bind mu = 0", "bind mu = (alpha", 1)
+            if relpath == "theorems.tab" else shipped(relpath)))
+        code, _, err = run(capsys, "verify-all")
+        assert code == EX_USAGE
+        assert err == ("error: parse_ratfun refuses stored text '(alpha': "
+                       "unexpected end of expression\n")
+
     def test_verify_theorem_confirmed(self, capsys):
         code, out, _ = run(capsys, "verify-theorem", "--id", "2.5", "--samples", "100")
         assert code == 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bottsol import pipeline, soliton
 from bottsol.algebra import Vec3, custom_spec, parse_custom_file
 from bottsol.pipeline import build, stage
 from bottsol.scalar import Poly, parse_poly, parse_ratfun
@@ -316,6 +317,29 @@ class TestSampling:
         plan = sample_plan(system, minimum=100, seed=11)
         assert len(plan) >= 100
         assert len({tuple(sorted(p.items())) for p in plan}) > 50
+
+    def test_one_group_shares_one_plan(self):
+        """The systems of one group at each distribution, and their Einstein
+        systems, have one constraint set: they get one plan, a tuple no
+        caller can extend, equal to the plan drawn for each system alone."""
+        for perturbed in (False, True):
+            systems = [stage("G4", dist, perturbed, eta_sign=1).system for dist in ("D", "D1", "D2")]
+            systems += [system.einstein for system in systems]
+            plan = sample_plan(systems[0], minimum=80, seed=7)
+            assert isinstance(plan, tuple)
+            for system in systems:
+                assert sample_plan(system, minimum=80, seed=7) is plan
+                grid = grid_points(system)
+                assert plan == tuple(grid + random_points(system, max(50, 80 - len(grid)), seed=7))
+
+    def test_stage_cache_clear_empties_the_plans(self):
+        system = stage("G1", "D").system
+        plan = sample_plan(system, minimum=60, seed=3)
+        assert soliton._plans
+        pipeline.stage.cache_clear()
+        assert not soliton._plans
+        again = sample_plan(system, minimum=60, seed=3)
+        assert again == plan and again is not plan
 
 
 # sha256 of one line per sampled point, f"{cfg} {sorted(point.items())} {verdict}",

@@ -26,7 +26,8 @@ from bottsol.soliton import (
     _TERMS_PER_SUM, UNKNOWNS, IntegerRows, _solve_integer_rows, decide_at_point, solve_at_point,
 )
 from helpers import (
-    all_configurations, power, reference_at, reference_solve, reference_solve_in_turn, solve_affine,
+    all_configurations, power, reference_at, reference_bareiss, reference_solve,
+    reference_solve_in_turn, solve_affine,
 )
 
 SETTINGS = settings(max_examples=100, deadline=None)
@@ -95,6 +96,25 @@ def test_the_last_pivot_is_the_determinant(rows):
     m = [list(row) for row in rows]
     _solve_integer_rows(m, 4)
     assert abs(m[3][3]) == abs(det)
+
+
+# Mostly zero integer entries: rows are often 0 in a pivot column, and keep
+# an older level when they become the pivot row or are updated.
+sparse_ints = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-4, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(sparse_ints, min_size=5, max_size=5), min_size=3, max_size=9))
+def test_deferred_scaling_keeps_the_bareiss_pivot_rows(rows):
+    """The loop, which leaves a row 0 in the pivot column unscaled, gives
+    the verdict of eager Bareiss elimination and the same pivot rows, entry
+    for entry; each row below the rank is 0 on the unknowns in both, and
+    its constant is 0 in one exactly where it is 0 in the other."""
+    m, eager = [list(row) for row in rows], [list(row) for row in rows]
+    assert _solve_integer_rows(m, 4) == reference_bareiss(eager, 4)
+    rank = sum(any(row[:4]) for row in eager)
+    assert m[:rank] == eager[:rank]
+    assert [bool(row[4]) for row in m[rank:]] == [bool(row[4]) for row in eager[rank:]]
 
 
 CONFIGURATIONS = list(all_configurations())
@@ -200,9 +220,10 @@ def test_the_loop_solves_every_zero_pattern_like_gauss_jordan(blob, x, consisten
     """Every catalog system and its Einstein system: on integers in -3..3
     filled into its zero pattern, 0 included, the loop gives Gauss-Jordan's
     verdict, witness and dimension.  Pivots vanish, rows are 0 in a pivot
-    column, and pivots repeat the previous one, so both of the loop's skips
-    are taken.  With `consistent`, each constant that is not a structural
-    zero is set so that `x` solves its row, which makes solvable rows common.
+    column and are left at an older level, and pivot rows come up from an
+    older level, so every branch of the deferred scaling is taken.  With
+    `consistent`, each constant that is not a structural zero is set so that
+    `x` solves its row, which makes solvable rows common.
     The entries are drawn as one string of bytes, since a draw per entry
     would take seconds."""
     values = (SMALL[b % 7] for b in blob)

@@ -209,6 +209,17 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __divmod__(self, other) -> tuple:
+        """(q, 0) with self == q*other where poly_div_exact finds q, else (0, self)."""
+        other = Poly._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        q = poly_div_exact(self, other)
+        return (0, self) if q is None else (q, 0)
+
     def is_constant(self) -> bool:
         # Terms are never zero, so a constant has at most the one term at _CONST_EXP.
         return not self.terms or (len(self.terms) == 1 and _CONST_EXP in self.terms)

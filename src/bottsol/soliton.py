@@ -90,12 +90,32 @@ class SolitonSystem:
         lines = [f"{poly} = 0" for poly in self.equations]
         return "\n".join(lines)
 
+    def _columns(self) -> list:
+        """The equations as rows of Polys [mu1, mu2, mu3, mu, const]."""
+        assert_affine_linear(self)
+        return [[eq.coefficient_of(u) for u in UNKNOWNS] + [eq.drop(UNKNOWNS)]
+                for eq in self.equations]
+
     @cached_property
     def integer_rows(self) -> "IntegerRows":
-        """The equations as rows [mu1, mu2, mu3, mu, const], compiled once."""
-        assert_affine_linear(self)
-        return IntegerRows.of([[eq.coefficient_of(u) for u in UNKNOWNS] + [eq.drop(UNKNOWNS)]
-                               for eq in self.equations])
+        """The equations' rows, compiled once."""
+        return IntegerRows.of(self._columns())
+
+    @cached_property
+    def branch_rows(self) -> "IntegerRows":
+        """[d, c_1, ..., c_k] of _eliminate over Polys, compiled once: the last
+        pivot, and the distinct nonzero constants below the rank at d's level,
+        the (r+1)-minors of [A | b] bordering the pivot block (Sylvester)."""
+        m = self._columns()
+        pivots, levels, d = _eliminate(m, len(UNKNOWNS))
+        minors = []
+        for row, level in zip(m[len(pivots):], levels[len(pivots):]):
+            c, rem = divmod(row[-1] * d, level)
+            if rem:
+                raise AssertionError("inexact Bareiss division")
+            if c and c not in minors:
+                minors.append(c)
+        return IntegerRows.of([[Poly.const(1) * d] + minors])  # d is the int 1 at rank 0
 
     @cached_property
     def constraint_rows(self) -> "IntegerRows":
@@ -408,10 +428,10 @@ class IntegerRows:
             ) from None
 
 
-def _solve_integer_rows(m: list, n_unknowns: int) -> PointVerdict:
-    """Fraction-free (Bareiss) elimination of integer rows to echelon form, in
-    place: the rows `m` are consumed, and the caller keeps a copy if it reads
-    them again.
+def _eliminate(m: list, n_unknowns: int) -> tuple:
+    """Fraction-free (Bareiss) elimination of rows [A | b] of ints or Polys
+    (both test with bool and divide with divmod) to echelon form, in place:
+    returns the pivot columns, each row's level and the last pivot.
 
     Row scaling is deferred: a row that is 0 in the pivot column is left as
     it is, and each row keeps its level, the pivot it was last multiplied by
@@ -420,11 +440,6 @@ def _solve_integer_rows(m: list, n_unknowns: int) -> PointVerdict:
     and a new pivot row is first multiplied by previous pivot / level; each
     division is exact and checked.  Pivot rows and pivots are Bareiss's;
     rows below the rank may keep an older level, which no zero test sees.
-    The witness sets the free unknowns to 0, which gives the same witness as
-    reduced row echelon form.  The last pivot is the determinant of the
-    pivot rows and columns, so by Cramer's rule it times each pivot unknown
-    is an integer: back-substitution runs on those integers, and each pivot
-    unknown takes one Fraction at the end.
     """
     pivots = []
     levels = [1] * len(m)
@@ -467,10 +482,19 @@ def _solve_integer_rows(m: list, n_unknowns: int) -> PointVerdict:
     for row in m[r:]:
         if any(row[:n_unknowns]):
             raise AssertionError("elimination left a stray nonzero row")
-        if row[n_unknowns]:
-            return _INCONSISTENT
+    return pivots, levels, previous
+
+
+def _solve_integer_rows(m: list, n_unknowns: int) -> PointVerdict:
+    """The verdict of integer rows [A | b], which _eliminate consumes.  The
+    witness sets the free unknowns to 0, as reduced row echelon form does.
+    The last pivot is the pivot block's determinant, so by Cramer's rule it
+    times each pivot unknown is an integer: back-substitution runs on those."""
+    pivots, _, previous = _eliminate(m, n_unknowns)
+    if any(row[n_unknowns] for row in m[len(pivots):]):
+        return _INCONSISTENT
     scaled = [0] * n_unknowns  # previous times each unknown
-    for row_idx in reversed(range(r)):
+    for row_idx in reversed(range(len(pivots))):
         row = m[row_idx]
         rest = row[n_unknowns] * previous
         for j in pivots[row_idx + 1:]:
@@ -485,12 +509,28 @@ def _solve_integer_rows(m: list, n_unknowns: int) -> PointVerdict:
     return PointVerdict(True, dict(zip(UNKNOWNS, witness)), n_unknowns - len(pivots))
 
 
+def solvable_at(system: SolitonSystem, point: Mapping[str, Fraction],
+                rows: list | None = None) -> bool:
+    """Whether the system is solvable at `point`, by its branch row [d, c...]
+    where it decides.  With r the rank of A over Q(params), rank A(p) <= r:
+    a nonzero c_i makes rank [A | b](p) > r (no solution), and all c_i zero
+    with d nonzero make every minor bordering d vanish: rank [A | b](p) = r.
+    Else the loop consumes `rows`, the caller's integer_rows.at(point), or new ones."""
+    d, *minors = system.branch_rows.at(point)[0]
+    if any(minors):
+        return False
+    if d:
+        return True
+    return _solve_integer_rows(system.integer_rows.at(point) if rows is None else rows,
+                               len(UNKNOWNS)).solvable
+
+
 def solve_at_point(system: SolitonSystem, point: Mapping[str, Fraction],
                    rows: list | None = None) -> PointVerdict:
-    """The verdict at a point that check_point_admissible has admitted.
-    `rows` is system.integer_rows.at(point) when the caller has it already;
-    those rows are left unchanged, and a copy is eliminated.  Rows evaluated
-    here are eliminated in place."""
+    """The verdict at a point check_point_admissible has admitted, which verify
+    reads only to describe a witness solvable_at found.  `rows`, the caller's
+    system.integer_rows.at(point), are left unchanged and a copy is
+    eliminated; rows evaluated here are eliminated in place."""
     if rows is None:
         rows = system.integer_rows.at(point)
     else:
@@ -501,8 +541,8 @@ def solve_at_point(system: SolitonSystem, point: Mapping[str, Fraction],
 def decide_at_point(system: SolitonSystem, point: Mapping[str, Fraction],
                     rows: list | None = None) -> PointVerdict:
     """check_point_admissible, then solve_at_point: ConstraintViolated at a
-    point it refuses, else the verdict.  `rows`, when given, are left
-    unchanged; rows it evaluates itself are consumed."""
+    refused point, else the verdict (verify needs none: see solvable_at).
+    `rows`, when given, are left unchanged; rows evaluated here are consumed."""
     check_point_admissible(system, point)
     return solve_at_point(system, point, rows)
 

@@ -30,10 +30,11 @@ from .soliton import (
     SolitonSystem,
     SolutionFamily,
     check_family,
-    decide_at_point,
+    check_point_admissible,
     draw_points,
     equation_values,
     sample_plan,
+    solvable_at,
     solve_at_point,
 )
 
@@ -223,13 +224,12 @@ def _spot_check_family(
     seed: int,
 ) -> int:
     """Instantiate the family at random points that keep the family's nonzero
-    side conditions and that decide_at_point admits; each point must solve
-    every equation exactly and decide_at_point must find it solvable.
-    Returns the number of points checked; raises AssertionError on any
-    failure.  A point the family does not instantiate is neither evaluated
-    nor decided; the system's integer rows are evaluated once per remaining
-    point, and the same rows are solved by decide_at_point and give the
-    equations' values."""
+    side conditions and that check_point_admissible admits; each point must
+    solve every equation exactly, and solvable_at must find the system
+    solvable there.  Returns the number of points checked; raises
+    AssertionError on any failure.  An admitted point's integer rows are
+    evaluated once: they give the equations' values, then solvable_at
+    consumes them, with no copy, where the branch row does not decide."""
     binds = family.closed_bindings
     free_names = [n for n in list(system.parameters) + list(UNKNOWNS) if n not in binds]
     reduced_eqs = family.reduced(system.equality_constraints + family.side_equal)
@@ -240,19 +240,19 @@ def _spot_check_family(
         if full is None:
             continue
         group_point = {k: v for k, v in full.items() if k not in UNKNOWNS}
-        rows = system.integer_rows.at(group_point)
         try:
-            verdict = decide_at_point(system, group_point, rows)
+            check_point_admissible(system, group_point)
         except ConstraintViolated:
             continue
+        rows = system.integer_rows.at(group_point)
         for eq, value in zip(system.equations, equation_values(rows, full)):
             if value:
                 raise AssertionError(
                     f"family {family.label}: equation {eq} = {eq.eval_at(full)} != 0 at {full}"
                 )
-        if not verdict.solvable:
+        if not solvable_at(system, group_point, rows):
             raise AssertionError(
-                f"family {family.label}: decide_at_point inconsistent at {group_point}"
+                f"family {family.label}: solvable_at finds no solution at {group_point}"
             )
         done += 1
         if done == count:
@@ -302,11 +302,10 @@ def _verify_family(
 
 def _witness(system: SolitonSystem, points: list) -> str | None:
     """The first sample point at which the system has a solution, described.
-    sample_plan admitted every point, so each is only solved."""
+    sample_plan admitted every point, so each is only decided (solvable_at)."""
     for point in points:
-        verdict = solve_at_point(system, point)
-        if verdict.solvable:
-            return f"point {point} admits {verdict}"
+        if solvable_at(system, point):
+            return f"point {point} admits {solve_at_point(system, point)}"
     return None
 
 

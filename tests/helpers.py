@@ -3,6 +3,9 @@
 `reference_solve` is Gauss-Jordan elimination to reduced row echelon form
 over Fractions; `solve_affine` feeds rational rows to the program's
 fraction-free integer solver, so the two can be compared on any input.
+`reference_bareiss` is eager fraction-free elimination over ints, and
+`reference_poly_bareiss` the same over Polys, against which the deferred
+scaling of the program's one loop and a system's branch row are compared.
 `reference_at` evaluates compiled integer rows by a plain loop, against
 which the program's generated evaluator is compared, and `ratfun_eval_at`
 evaluates a quotient at a point, against which the compiled family bindings
@@ -24,7 +27,9 @@ from bottsol.algebra import GROUPS, METRIC_SIGNS, Vec3, bilinear
 from bottsol.connection import DISTRIBUTIONS
 from bottsol.curvature import BilinearForm
 from bottsol.pipeline import eta_signs
-from bottsol.scalar import DenominatorZero, ParseError, Poly, RatFun, UnboundParameter
+from bottsol.scalar import (
+    DenominatorZero, ParseError, Poly, RatFun, UnboundParameter, poly_div_exact,
+)
 from bottsol.soliton import (
     RANDOM_VALUES, UNKNOWNS, IntegerRows, PointVerdict, _solve_integer_rows,
 )
@@ -182,6 +187,30 @@ def reference_bareiss(m: list, n_unknowns: int) -> PointVerdict:
         previous = p
         r += 1
     return reference_solve(m, n_unknowns)
+
+
+def reference_poly_bareiss(m: list, n_unknowns: int) -> tuple:
+    """`reference_bareiss` over rows of Polys, in place, each division by
+    poly_div_exact: the last pivot (Poly 1 at rank 0) and the nonzero
+    constants of the rows below the rank, in row order, every row at the
+    last pivot's level.  Those rows must be 0 on the unknowns."""
+    previous = Poly.const(1)
+    r = 0
+    for col in range(n_unknowns):
+        pivot = next((k for k in range(r, len(m)) if not m[k][col].is_zero()), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        p = m[r][col]
+        for row in m[r + 1:]:
+            f = row[col]
+            for j, (a, b) in enumerate(zip(row, m[r])):
+                row[j] = poly_div_exact(p * a - f * b, previous)
+                assert row[j] is not None, "inexact Bareiss division"
+        previous = p
+        r += 1
+    assert all(x.is_zero() for row in m[r:] for x in row[:n_unknowns])
+    return previous, [row[n_unknowns] for row in m[r:] if not row[n_unknowns].is_zero()]
 
 
 def reference_at(rows: IntegerRows, point) -> list:

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bottsol import scalar
@@ -199,6 +199,20 @@ def polys(draw):
             term = term * power(Poly.var(name), exponent)
         total = total + term
     return total
+
+
+@given(polys(), polys())
+@settings(max_examples=100, deadline=None)
+def test_truth_and_divmod_follow_exact_division(a, b):
+    """A Poly is true exactly when it is nonzero, and divmod(a, b) is (q, r)
+    with a == q*b + r, r zero exactly when poly_div_exact divides: the
+    elimination loop tests and checks Polys as it does ints."""
+    assert bool(a) == (not a.is_zero())
+    assume(not b.is_zero())
+    q, r = divmod(a, b)
+    assert a == q * b + r
+    assert (not r) == (poly_div_exact(a, b) is not None)
+    assert divmod(a * b, b) == (a, 0)
 
 
 @given(polys(), polys(), polys())

@@ -1,7 +1,9 @@
 """Property tests for the exact point solver and numeric substitution.
 
 The fraction-free integer solver must agree with Gauss-Jordan elimination
-(`helpers.reference_solve`) on every input, witness included, the
+(`helpers.reference_solve`) on every input, witness included, a system's
+branch row with eager Bareiss elimination over Polys
+(`helpers.reference_poly_bareiss`) and `solvable_at` with the solver, the
 generated evaluator of compiled rows with `helpers.reference_at`, and the
 draws of constrained sample points with the substitution loop
 (`helpers.reference_solve_in_turn`).
@@ -19,15 +21,17 @@ from hypothesis import strategies as st
 import pytest
 
 from bottsol.algebra import Vec3, custom_spec
-from bottsol.pipeline import build, stage
+from bottsol.pipeline import build, eta_signs, stage
+from bottsol.registry import load_theorems
 from bottsol.scalar import PARAMS, Poly, UnboundParameter
-from bottsol import soliton
+from bottsol import soliton, verify
 from bottsol.soliton import (
-    _TERMS_PER_SUM, UNKNOWNS, IntegerRows, _solve_integer_rows, decide_at_point, solve_at_point,
+    _TERMS_PER_SUM, UNKNOWNS, IntegerRows, _solve_integer_rows, decide_at_point, random_points,
+    solvable_at, solve_at_point,
 )
 from helpers import (
-    all_configurations, power, reference_at, reference_bareiss, reference_solve,
-    reference_solve_in_turn, solve_affine,
+    all_configurations, power, reference_at, reference_bareiss, reference_poly_bareiss,
+    reference_solve, reference_solve_in_turn, solve_affine,
 )
 
 SETTINGS = settings(max_examples=100, deadline=None)
@@ -134,7 +138,7 @@ def test_integer_rows_solve_like_rational_rows(cfg, values):
     ]
     expected = reference_solve(rational_rows, 4)
     assert solve_affine(system.integer_rows.at(point), 4) == expected
-    # Rows the caller passes in are solved on a copy: the spot check reads them again.
+    # Rows the caller passes in are solved on a copy and left as they were.
     rows = system.integer_rows.at(point)
     before = [list(row) for row in rows]
     assert solve_at_point(system, point, rows) == expected and rows == before
@@ -142,6 +146,84 @@ def test_integer_rows_solve_like_rational_rows(cfg, values):
 
 SYSTEMS = [system for cfg in CONFIGURATIONS
            for system in (stage(*cfg).system, stage(*cfg).system.einstein)]
+
+
+def _read_back(rows: IntegerRows) -> list:
+    """Compiled rows as Polys again, each row times its scale."""
+    at = [PARAMS.index(name) for name in rows.names]
+
+    def poly(col):
+        terms = {}
+        for m, c in col:
+            e = [0] * len(PARAMS)
+            for i, k in zip(at, rows.monomials[m]):
+                e[i] = k
+            terms[tuple(e)] = c
+        return Poly(terms)
+
+    return [[poly(col) for col in row] for row in rows.rows]
+
+
+def test_the_branch_row_is_eager_bareiss_over_poly():
+    """Every catalog system and its Einstein system: the branch row holds the
+    last pivot and the distinct nonzero constants of the rows below the rank
+    that eager Bareiss elimination over Polys leaves, in row order, every
+    row brought up to the last pivot's level."""
+    for system in SYSTEMS:
+        d, constants = reference_poly_bareiss(system._columns(), len(UNKNOWNS))
+        expected = IntegerRows.of([[d] + list(dict.fromkeys(constants))])
+        assert _read_back(system.branch_rows) == _read_back(expected)
+
+
+def _loop_solvable(system, point) -> bool:
+    return _solve_integer_rows(system.integer_rows.at(point), len(UNKNOWNS)).solvable
+
+
+def test_the_branch_decides_random_admissible_points_like_the_loop():
+    """Every catalog system and its Einstein system, at seeded admissible
+    points on its constraint variety: solvable_at gives the loop's verdict,
+    with and without the evaluated rows handed in."""
+    for k, system in enumerate(SYSTEMS):
+        for point in random_points(system, 12, seed=k):
+            expected = _loop_solvable(system, point)
+            assert solvable_at(system, point) == expected
+            assert solvable_at(system, point, system.integer_rows.at(point)) == expected
+
+
+def test_the_branch_decides_every_point_of_a_default_pass_like_the_loop(monkeypatch):
+    """Every point a default pass of the 45 records decides: solvable_at
+    gives the loop's verdict.  The spot points lie on the families' loci,
+    where the last pivot often vanishes and the loop decides; a nonzero
+    minor decides most witness-search points."""
+    decide, taken = verify.solvable_at, []
+
+    def compared(system, point, rows=None):
+        expected = _loop_solvable(system, point)
+        d, *minors = system.branch_rows.at(point)[0]
+        taken.append("minor" if any(minors) else "pivot" if d else "loop")
+        assert decide(system, point, rows) == expected
+        return expected
+
+    monkeypatch.setattr(verify, "solvable_at", compared)
+    for rec in load_theorems():
+        verify.verify_theorem(rec)
+    assert all(taken.count(branch) > 100 for branch in ("minor", "pivot", "loop"))
+
+
+def test_every_no_soliton_claim_has_a_minor():
+    """Each of the 23 no-soliton claim systems (each G4 sign apart, an
+    Einstein clause as its Einstein system) is inconsistent over Q(params):
+    its branch row holds at least one minor, which decides the witness
+    search wherever it does not vanish."""
+    systems = []
+    for rec in load_theorems():
+        for claim in rec.claims:
+            if claim.families is None:
+                for eta in eta_signs(claim.group):
+                    system = stage(claim.group, rec.distribution, rec.perturbed, eta).system
+                    systems.append(system.einstein if claim.einstein else system)
+    assert len(systems) == 23
+    assert all(len(system.branch_rows.rows[0]) > 1 for system in systems)
 
 
 @SETTINGS

@@ -487,9 +487,9 @@ def test_wrong_family_fails_the_spot_check(theorems, theorem_id, eta, bindings, 
 
 def test_one_theorem_pass_compiles_each_row_set_once(theorems, monkeypatch):
     """Over one pass of the 45 records, evaluators are generated at most once
-    per row set of each distinct system (equations and constraints; an
-    Einstein system reuses its base's constraints) plus two per spot-checked
-    family (bound values and nonzero side conditions)."""
+    per row set of each distinct system (equations, branch and constraints;
+    an Einstein system reuses its base's constraints) plus two per
+    spot-checked family (bound values and nonzero side conditions)."""
     generated = []
     evaluate = IntegerRows.__dict__["_evaluate"].func
 
@@ -518,7 +518,7 @@ def test_one_theorem_pass_compiles_each_row_set_once(theorems, monkeypatch):
         if "einstein" in base:
             assert vars(base["einstein"])["constraint_rows"] is base["constraint_rows"]
     row_sets = sum(name in cached for cached in bases + einsteins
-                   for name in ("integer_rows", "constraint_rows"))
+                   for name in ("integer_rows", "branch_rows", "constraint_rows"))
     row_sets -= len(einsteins)  # shared, not compiled again
     assert len(spot_checks) > 50
     assert len(generated) <= row_sets + 2 * len(spot_checks)
@@ -526,59 +526,68 @@ def test_one_theorem_pass_compiles_each_row_set_once(theorems, monkeypatch):
 
 
 def test_a_spot_check_evaluates_the_system_once_per_point(theorems, monkeypatch):
-    """decide_at_point solves the rows the spot check evaluated, and the
-    equations are tested on the same rows, so the system's integer rows are
-    evaluated once per decided point and left unconsumed by the solve."""
+    """The equations are tested on the rows the spot check evaluated, and
+    solvable_at is handed the same rows, so the system's integer rows are
+    evaluated once per decided point; where the branch row leaves a point
+    to the loop, the loop consumes those very rows, with no copy."""
     rec = theorems["2.9"]
     system = pipeline.stage(rec.group, rec.distribution, rec.perturbed).system
     family = _family_from_record(rec.claims[0].families[0], None, completed=False)
-    evaluated, decided = [], []
-    at, decide = IntegerRows.at, verify.decide_at_point
+    evaluated, decided, solved = [], [], []
+    at, decide, solve = IntegerRows.at, verify.solvable_at, soliton._solve_integer_rows
 
     def counted_at(rows, point):
+        values = at(rows, point)
         if rows is system.integer_rows:
-            evaluated.append(point)
-        return at(rows, point)
+            evaluated.append((point, values))
+        return values
 
     def counted_decide(system, point, rows):
-        decided.append(point)
-        before = [list(row) for row in rows]
-        verdict = decide(system, point, rows)
-        assert rows == before
-        return verdict
+        decided.append((point, rows))
+        return decide(system, point, rows)
+
+    def counted_solve(m, n_unknowns):
+        solved.append(m)
+        return solve(m, n_unknowns)
 
     monkeypatch.setattr(IntegerRows, "at", counted_at)
-    monkeypatch.setattr(verify, "decide_at_point", counted_decide)
+    monkeypatch.setattr(verify, "solvable_at", counted_decide)
+    monkeypatch.setattr(soliton, "_solve_integer_rows", counted_solve)
     assert _spot_check_family(system, family, 25, 177147) == 25
-    assert len(decided) >= 25 and evaluated == decided
+    assert len(decided) == 25 and len(evaluated) == 25
+    assert all(p is q and rows is values for (p, rows), (q, values) in zip(decided, evaluated))
+    assert solved and all(any(m is rows for _, rows in decided) for m in solved)
 
 
 def test_a_spot_check_decides_only_points_that_keep_the_side_conditions(theorems, monkeypatch):
-    """The family's nonzero side conditions are tested before a point's rows
-    are evaluated and decided: decide_at_point sees only the drawn points
-    that keep them, and the points counted are those of these that
-    admission accepts, in the order drawn."""
+    """The family's nonzero side conditions are tested before a point is
+    admitted, evaluated and decided: check_point_admissible sees only the
+    drawn points that keep them, and solvable_at, and the points counted,
+    only those of these that admission accepts, in the order drawn."""
     rec = theorems["3.4"]
     system = pipeline.stage(rec.group, rec.distribution, rec.perturbed).system
     (family,) = [_family_from_record(fam, None, completed=False)
                  for fam in rec.claims[0].families if fam.label == "2"]
     assert [str(p) for p in family.side_nonzero] == ["mu1", "delta"]
-    drawn, decided, counted = [], [], []
-    draw, decide = verify.draw_points, verify.decide_at_point
+    drawn, admitted, decided = [], [], []
+    draw, admit, decide = verify.draw_points, verify.check_point_admissible, verify.solvable_at
 
     def recorded_draws(*args):
         for point in draw(*args):
             drawn.append(dict(point))
             yield point
 
+    def recorded_admit(system, point):
+        admitted.append(point)
+        return admit(system, point)
+
     def recorded_decide(system, point, rows):
         decided.append(point)
-        verdict = decide(system, point, rows)
-        counted.append(point)
-        return verdict
+        return decide(system, point, rows)
 
     monkeypatch.setattr(verify, "draw_points", recorded_draws)
-    monkeypatch.setattr(verify, "decide_at_point", recorded_decide)
+    monkeypatch.setattr(verify, "check_point_admissible", recorded_admit)
+    monkeypatch.setattr(verify, "solvable_at", recorded_decide)
     assert _spot_check_family(system, family, 25, 177147) == 25
     binds = family.closed_bindings
     kept = []
@@ -587,8 +596,8 @@ def test_a_spot_check_decides_only_points_that_keep_the_side_conditions(theorems
         if all(p.eval_at(full) for p in family.side_nonzero):
             kept.append({k: v for k, v in full.items() if k not in UNKNOWNS})
     assert len(kept) < len(drawn)
-    assert decided == kept
-    assert counted == [point for point in kept if soliton._admissible(system, point)]
+    assert admitted == kept
+    assert decided == [point for point in kept if soliton._admissible(system, point)]
 
 
 def test_each_source_is_compiled_once_until_the_stages_are_cleared(theorems, monkeypatch):

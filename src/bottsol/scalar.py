@@ -341,11 +341,18 @@ class Poly:
     def eval_at(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact value at a point that binds every parameter of self; other
         keys of `point` are ignored."""
-        names = self.params()
-        missing = names.difference(point)
+        missing = self.params().difference(point)
         if missing:
             raise UnboundParameter(f"no value for {sorted(missing)}")
-        num, den = term_value(term_list(self.terms), point)
+        num, den = 0, 1  # the sum so far, unreduced
+        for e, c in self.terms.items():
+            n, d = c.numerator, c.denominator
+            for name, k in zip(PARAMS, e):
+                if k:
+                    v = point[name]
+                    n *= v.numerator ** k
+                    d *= v.denominator ** k
+            num, den = num * d + n * den, den * d
         return Fraction(num, den)
 
     # -- printing ------------------------------------------------------------
@@ -398,27 +405,6 @@ def poly_div_exact(num: Poly, den: Poly) -> Poly | None:
         q[qe] = qc  # quotient exponents strictly fall in grlex order
         rest = rest - Poly({qe: qc}) * den
     return Poly(q)
-
-
-def term_list(terms: Mapping) -> tuple:
-    """A polynomial's terms as (numerator, denominator, names) triples: the
-    coefficient's, and each name the term holds, repeated by its exponent."""
-    return tuple((c.numerator, c.denominator,
-                  tuple(name for name, k in zip(PARAMS, e) for _ in range(k)))
-                 for e, c in terms.items())
-
-
-def term_value(terms: tuple, point: Mapping[str, Fraction]) -> tuple:
-    """The value of a term list at `point` as an unreduced (numerator,
-    denominator) pair of ints, with a positive denominator."""
-    num, den = 0, 1
-    for n, d, names in terms:
-        for name in names:
-            v = point[name]
-            n *= v.numerator
-            d *= v.denominator
-        num, den = num * d + n * den, den * d
-    return num, den
 
 
 _ONE = Poly.const(1)

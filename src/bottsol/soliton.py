@@ -24,9 +24,7 @@ from typing import Iterable, Mapping, Sequence
 from .algebra import METRIC_SIGNS, LieAlgebraSpec, Vec3
 from .connection import Connection
 from .curvature import BilinearForm
-from .scalar import (
-    PARAMS, DenominatorZero, Poly, RatFun, UnboundParameter, poly_div_exact, term_list, term_value,
-)
+from .scalar import PARAMS, DenominatorZero, Poly, RatFun, UnboundParameter, poly_div_exact
 
 UNKNOWNS = ("mu1", "mu2", "mu3", "mu")
 
@@ -525,26 +523,17 @@ def solvable_at(system: SolitonSystem, point: Mapping[str, Fraction],
                                len(UNKNOWNS)).solvable
 
 
-def solve_at_point(system: SolitonSystem, point: Mapping[str, Fraction],
-                   rows: list | None = None) -> PointVerdict:
+def solve_at_point(system: SolitonSystem, point: Mapping[str, Fraction]) -> PointVerdict:
     """The verdict at a point check_point_admissible has admitted, which verify
-    reads only to describe a witness solvable_at found.  `rows`, the caller's
-    system.integer_rows.at(point), are left unchanged and a copy is
-    eliminated; rows evaluated here are eliminated in place."""
-    if rows is None:
-        rows = system.integer_rows.at(point)
-    else:
-        rows = [list(row) for row in rows]
-    return _solve_integer_rows(rows, len(UNKNOWNS))
+    reads only to describe a witness solvable_at found."""
+    return _solve_integer_rows(system.integer_rows.at(point), len(UNKNOWNS))
 
 
-def decide_at_point(system: SolitonSystem, point: Mapping[str, Fraction],
-                    rows: list | None = None) -> PointVerdict:
+def decide_at_point(system: SolitonSystem, point: Mapping[str, Fraction]) -> PointVerdict:
     """check_point_admissible, then solve_at_point: ConstraintViolated at a
-    refused point, else the verdict (verify needs none: see solvable_at).
-    `rows`, when given, are left unchanged; rows evaluated here are consumed."""
+    refused point, else the verdict (verify needs none: see solvable_at)."""
     check_point_admissible(system, point)
-    return solve_at_point(system, point, rows)
+    return solve_at_point(system, point)
 
 
 # --------------------------------------------------------------------------
@@ -599,33 +588,39 @@ def grid_points(system: SolitonSystem) -> list:
 def _groups(c: Poly, open_names: tuple) -> tuple:
     """`c`'s terms grouped by monomial in `open_names`: each group's exponents
     of those names, each group's coefficient (a polynomial in the other
-    names) as `term_list`, and an empty memo of `_step`'s shapes."""
+    names), the coefficients compiled as one row, and an empty memo of
+    `_step`'s shapes."""
     at = [PARAMS.index(n) for n in open_names]
     coefficients: dict = {}  # a monomial in the open names -> its coefficient's terms
     for e, coefficient in c.terms.items():
         rest = tuple(0 if i in at else k for i, k in enumerate(e))
         coefficients.setdefault(tuple(e[i] for i in at), {})[rest] = coefficient
-    return tuple(coefficients), tuple(term_list(terms) for terms in coefficients.values()), {}
+    polys = tuple(map(Poly, coefficients.values()))
+    return tuple(coefficients), polys, IntegerRows.of([polys]), {}
 
 
 def _step(exponents: tuple, coefficients: tuple, open_names: tuple, mask: tuple) -> tuple:
     """How a constraint is solved where the coefficients `mask` marks do not
-    vanish: the names to draw, the target, and the term lists of a (the
-    coefficient of the target) and b (the terms free of it) over the groups
-    left.  The names are those of the groups left, and the target is the
-    last of them of degree 1, or None if none is."""
+    vanish: the names to draw, the target, and a (the coefficient of the
+    target) and b (the terms free of it) over the groups left, compiled as
+    one row [a, b].  The names are those of the groups left, and the target
+    is the last of them of degree 1, or None if none is."""
     live = [e for e, keep in zip(exponents, mask) if keep]
     degrees = [max(e[j] for e in live) for j in range(len(open_names))]
     t = next((j for j in reversed(range(len(open_names))) if degrees[j] == 1), None)
     if t is None:
-        return (), None, (), ()
+        return (), None, None
     drawn = [j for j, degree in enumerate(degrees) if degree and j != t]
+    at = [PARAMS.index(n) for n in open_names]
     a, b = [], []
-    for e, terms, keep in zip(exponents, coefficients, mask):
+    for e, coefficient, keep in zip(exponents, coefficients, mask):
         if keep:
-            names = tuple(open_names[j] for j in drawn for _ in range(e[j]))
-            (a if e[t] else b).extend((n, d, bound + names) for n, d, bound in terms)
-    return tuple(open_names[j] for j in drawn), open_names[t], tuple(a), tuple(b)
+            monomial = [0] * len(PARAMS)
+            for j in drawn:
+                monomial[at[j]] = e[j]
+            (a if e[t] else b).append((coefficient, Poly({tuple(monomial): 1})))
+    return (tuple(open_names[j] for j in drawn), open_names[t],
+            IntegerRows.of([[Poly.dot(a), Poly.dot(b)]]))
 
 
 def _solve_equalities(memos: list, point: dict, free: list, rng: random.Random) -> bool:
@@ -642,27 +637,28 @@ def _solve_equalities(memos: list, point: dict, free: list, rng: random.Random) 
     at the end are drawn in `free` order.  `memos` holds each constraint
     with its names in `free` order and its groups per tuple of open names
     (`_groups`), each with its shapes per mask of vanishing coefficients
-    (`_step`)."""
+    (`_step`).  A row's values share one positive scale, so the mask is the
+    zero pattern of the coefficients' row and -b/a the ratio of [a, b]'s."""
     for c, names, cases in memos:
         open_names = tuple([n for n in names if n not in point])
         case = cases.get(open_names)
         if case is None:
             case = cases[open_names] = _groups(c, open_names)
-        exponents, coefficients, shapes = case
-        mask = tuple([bool(term_value(terms, point)[0]) for terms in coefficients])
+        exponents, coefficients, rows, shapes = case
+        mask = tuple(map(bool, rows.at(point)[0]))
         if not any(mask):
             continue
         shape = shapes.get(mask)
         if shape is None:
             shape = shapes[mask] = _step(exponents, coefficients, open_names, mask)
-        others, target, a_terms, b_terms = shape
+        others, target, target_rows = shape
         if target is None:
             return False
         for name in others:
             point[name] = rng.choice(rng.choice(RANDOM_VALUES))
-        (a, a_den), (b, b_den) = term_value(a_terms, point), term_value(b_terms, point)
+        ((a, b),) = target_rows.at(point)
         if a:
-            point[target] = Fraction(-b * a_den, b_den * a)
+            point[target] = Fraction(-b, a)
         elif b:
             return False
     for name in free:

@@ -88,6 +88,13 @@ class TestVerifyFixture:
             EntryDiff("1,1", "(listed as unchanged)", "beta (was alpha)"),
         ]
 
+    def test_every_erratum_is_reproduced_by_a_diff(self, fixtures, errata):
+        """Each audited entry is the exact diff of some fixture in a default
+        pass, so an entry left behind by a corrected table fails here."""
+        reproduced = {(fix.id, d.key, d.expected, d.computed)
+                      for fix in fixtures.values() for d in verify_fixture(fix, errata).mismatches}
+        assert sorted(errata - reproduced) == []
+
     def test_deterministic(self, fixtures, errata):
         a = verify_fixture(fixtures["5.43"], errata)
         b = verify_fixture(fixtures["5.43"], errata)
@@ -488,8 +495,11 @@ def test_wrong_family_fails_the_spot_check(theorems, theorem_id, eta, bindings, 
 def test_one_theorem_pass_compiles_each_row_set_once(theorems, monkeypatch):
     """Over one pass of the 45 records, evaluators are generated at most once
     per row set of each distinct system (equations, branch and constraints;
-    an Einstein system reuses its base's constraints) plus two per
-    spot-checked family (bound values and nonzero side conditions)."""
+    an Einstein system reuses its base's constraints), two per spot-checked
+    family (bound values and nonzero side conditions) and one per row set
+    of the draws, read from the memos of each draw_points call: a
+    constraint case's coefficients, and the [a, b] of each of its shapes
+    that has a target."""
     generated = []
     evaluate = IntegerRows.__dict__["_evaluate"].func
 
@@ -508,6 +518,14 @@ def test_one_theorem_pass_compiles_each_row_set_once(theorems, monkeypatch):
         return spot_check(*args)
 
     monkeypatch.setattr(verify, "_spot_check_family", counted_spot_check)
+    memos = {}  # id -> the memos of one draw_points call, kept alive here
+    solve_equalities = soliton._solve_equalities
+
+    def recorded_draw(memo, point, free, rng):
+        memos[id(memo)] = memo
+        return solve_equalities(memo, point, free, rng)
+
+    monkeypatch.setattr(soliton, "_solve_equalities", recorded_draw)
     pipeline.stage.cache_clear()
     for rec in theorems.values():
         verify_theorem(rec)
@@ -520,8 +538,13 @@ def test_one_theorem_pass_compiles_each_row_set_once(theorems, monkeypatch):
     row_sets = sum(name in cached for cached in bases + einsteins
                    for name in ("integer_rows", "branch_rows", "constraint_rows"))
     row_sets -= len(einsteins)  # shared, not compiled again
-    assert len(spot_checks) > 50
-    assert len(generated) <= row_sets + 2 * len(spot_checks)
+    draw_row_sets = 0
+    for memo in memos.values():
+        for _, _, cases in memo:
+            for _, _, _, shapes in cases.values():
+                draw_row_sets += 1 + sum(target is not None for _, target, _ in shapes.values())
+    assert len(spot_checks) > 50 and draw_row_sets > 0
+    assert len(generated) <= row_sets + 2 * len(spot_checks) + draw_row_sets
     pipeline.stage.cache_clear()
 
 

@@ -3,8 +3,11 @@
 Makes one mutant per `+` or `-` (swapped for the other), per `/` or `//`
 (swapped for the other: a whole coefficient is an int, and int / int is a
 float) and per comparison (`<`/`<=`, `>`/`>=` and `==`/`!=` flipped) in the
-modules of MODULES, runs
-tier-1 on each, and prints every mutant the tests do not kill (DeMillo,
+modules of MODULES, and one per `+` or `-` written as text in the string
+templates of the functions in TEMPLATES, which generate code the syntax
+tree does not show.  It runs
+tier-1 on each, and prints the score per operator class and every mutant
+the tests do not kill (DeMillo,
 Lipton and Sayward 1978, "Hints on test data selection", IEEE Computer
 11(4):34).  A survivor listed in EQUIVALENT changes no behaviour, for the
 reason given there; any other survivor is a gap in the tests, and the script
@@ -49,6 +52,14 @@ SWAPS = {
     ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="),
 }
 
+# The operator class of each mutated symbol, for the score per class.
+CLASSES = {"+": "+/-", "-": "+/-", "/": "/ and //", "//": "/ and //"}
+
+# Functions whose string constants are templates of generated code, per
+# module: the `+` and `-` inside their literal text are swapped too.
+TEMPLATES = {"soliton": ("IntegerRows._evaluate", "_powers")}
+TEXT_SWAPS = {"+": "-", "-": "+"}
+
 # Survivors that change no behaviour, keyed by (module, enclosing function,
 # the mutated line's source text, operator before, operator after).
 EQUIVALENT = {
@@ -81,6 +92,11 @@ class Mutant:
     after: str
     start: int  # byte offset of the operator in the module
     end: int
+    template: bool = False  # the operator is text in a string template
+
+    def kind(self) -> str:
+        kind = CLASSES.get(self.before, "comparisons")
+        return f"template {kind}" if self.template else kind
 
     def key(self) -> tuple:
         return (self.module, self.function, self.source, self.before, self.after)
@@ -107,7 +123,34 @@ def mutants(module: str) -> list:
         line_starts.append(line_starts[-1] + len(line) + 1)
     out = []
 
+    def add(start: int, before: str, after: str, function: str, template: bool = False) -> None:
+        line = next(i for i, s in enumerate(line_starts) if s > start)
+        out.append(Mutant(module, function, line, lines[line - 1].decode().strip(),
+                          before, after, start, start + len(before), template))
+
+    def visit_template(node: ast.AST, function: str) -> None:
+        """The `+` and `-` of a string or f-string literal's text, outside its
+        {} replacement fields, whose expressions `visit` walks."""
+        lo = line_starts[node.lineno - 1] + node.col_offset
+        hi = line_starts[node.end_lineno - 1] + node.end_col_offset
+        depth = 0
+        # By byte: no byte of a multi-byte UTF-8 character is ASCII.
+        for k, ch in enumerate(map(chr, data[lo:hi])):
+            if isinstance(node, ast.JoinedStr) and ch in "{}":
+                depth += 1 if ch == "{" else -1
+            elif ch in TEXT_SWAPS and not depth:
+                add(lo + k, ch, TEXT_SWAPS[ch], function, template=True)
+
     def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            return  # a docstring: no operator, and no template
+        children = list(ast.iter_child_nodes(node))
+        if function in TEMPLATES.get(module, ()):
+            if isinstance(node, ast.JoinedStr):
+                visit_template(node, function)
+                children = [v.value for v in node.values if isinstance(v, ast.FormattedValue)]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                visit_template(node, function)
         sites = []
         if isinstance(node, ast.BinOp):
             sites = [(node.op, node.left, node.right)]
@@ -116,11 +159,9 @@ def mutants(module: str) -> list:
         for op, left, right in sites:
             if type(op) in SWAPS:
                 before, after = SWAPS[type(op)]
-                start = _operator_offset(data, line_starts, left, right, before)
-                line = next(i for i, s in enumerate(line_starts) if s > start)
-                out.append(Mutant(module, function, line, lines[line - 1].decode().strip(),
-                                  before, after, start, start + len(before)))
-        for child in ast.iter_child_nodes(node):
+                add(_operator_offset(data, line_starts, left, right, before), before, after,
+                    function)
+        for child in children:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{function}.{child.name}" if function else child.name)
             else:
@@ -167,6 +208,9 @@ def main() -> int:
     killed = len(todo) - len(survivors)
     print(f"{len(todo)} mutants: {killed} killed, {len(survivors)} survived "
           f"({100 * killed / len(todo):.1f}% killed)")
+    for kind in dict.fromkeys(m.kind() for m in todo):
+        made = [survived for m, survived in zip(todo, results) if m.kind() == kind]
+        print(f"  {kind}: {made.count(False)} of {len(made)} killed")
     unexplained = 0
     for m in survivors:
         reason = EQUIVALENT.get(m.key())

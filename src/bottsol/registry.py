@@ -26,7 +26,7 @@ while parsing, so the polynomial alphabet itself never contains it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -120,80 +120,99 @@ def _data_text(relpath: str) -> str:
     return node.read_text()
 
 
+def _blocks(lines, opens):
+    """Split (line number, line) pairs, as content_lines yields them, into
+    blocks: one opens at each line where `opens(line)` holds and runs to the
+    next.  Yields (opening pair, the pairs after it) per block, the lines
+    before the first opening line coming first, under the opening None."""
+    head, body = None, []
+    for pair in lines:
+        if opens(pair[1]):
+            yield head, body
+            head, body = pair, []
+        else:
+            body.append(pair)
+    yield head, body
+
+
 _HEADER = re.compile(r"^\[(\w+)\s+([0-9][0-9.]*)(?:\s+(perturbed))?\]$")
 
 
-def _parse_table_file(text: str, group: str, dist: str) -> list:
-    fixtures = []
-    kind = fid = None
-    perturbed = False
+def _table_rows(kind: str, body: list, where: str) -> tuple:
+    """The (key, expression) rows of one block's lines.  A key listed twice
+    in the block would leave only its last row compared, so it is refused."""
+    if kind == "system":
+        return tuple((None, line) for _, line in body)
+    spec = TABLE_KINDS[kind]
     rows: list = []
-    seen: set = set()  # the keys of the current block
-
-    def flush():
-        if kind is not None:
-            fixtures.append(Fixture(fid, kind, group, dist, perturbed, tuple(rows)))
-
-    def add(keys: tuple, expr: str, lineno: int) -> None:
-        """Append one row per key; a key already listed in the block would
-        leave only its last row compared, so it is refused."""
-        repeated = sorted(seen.intersection(keys))
-        if repeated:
-            raise RegistryError(f"{group}/{dist} line {lineno}: {kind} key "
-                                f"{' '.join(map(str, repeated[0]))!r} listed twice in one block")
-        seen.update(keys)
-        rows.extend((key, expr) for key in keys)
-
-    for lineno, line in content_lines(text):
-        m = _HEADER.match(line)
-        if m:
-            flush()
-            kind, fid, perturbed = m.group(1), m.group(2), bool(m.group(3))
-            if kind not in TABLE_KINDS:
-                raise RegistryError(f"{group}/{dist} line {lineno}: unknown kind {kind!r}")
-            rows = []
-            seen = set()
-            continue
-        if line.startswith("["):
-            raise RegistryError(f"{group}/{dist} line {lineno}: bad block header {line!r}")
-        if kind is None:
-            raise RegistryError(f"{group}/{dist} line {lineno}: content before first block")
-        if kind == "system":
-            rows.append((None, line))
-            continue
+    seen: set = set()
+    for lineno, line in body:
         key_part, sep, expr = line.partition(":")
         if not sep:
-            raise RegistryError(f"{group}/{dist} line {lineno}: expected 'indices : expression'")
+            raise RegistryError(f"{where} line {lineno}: expected 'indices : expression'")
         key_txt = key_part.strip()
         expr = expr.strip()
         if key_txt == "*":
             if expr != "0":
-                raise RegistryError(f"{group}/{dist} line {lineno}: '*' rows must be zero")
-            star = TABLE_KINDS[kind].star
-            if star is None:
-                raise RegistryError(f"{group}/{dist} line {lineno}: '*' not supported for {kind}")
-            add(star, "0", lineno)
-            continue
-        try:
-            key = tuple(int(tok) for tok in key_txt.split())
-        except ValueError as exc:
-            raise RegistryError(f"{group}/{dist} line {lineno}: bad indices {key_txt!r}") from exc
-        arity = TABLE_KINDS[kind].arity
-        if len(key) != arity or not all(1 <= k <= 3 for k in key):
-            raise RegistryError(
-                f"{group}/{dist} line {lineno}: {kind} rows need {arity} indices in 1..3, "
-                f"got {key_txt!r}")
-        add((key,), expr, lineno)
-    flush()
-    return fixtures
+                raise RegistryError(f"{where} line {lineno}: '*' rows must be zero")
+            if spec.star is None:
+                raise RegistryError(f"{where} line {lineno}: '*' not supported for {kind}")
+            keys = spec.star
+        else:
+            try:
+                key = tuple(int(tok) for tok in key_txt.split())
+            except ValueError as exc:
+                raise RegistryError(f"{where} line {lineno}: bad indices {key_txt!r}") from exc
+            if len(key) != spec.arity or not all(1 <= k <= 3 for k in key):
+                raise RegistryError(f"{where} line {lineno}: {kind} rows need {spec.arity} "
+                                    f"indices in 1..3, got {key_txt!r}")
+            keys = (key,)
+        repeated = sorted(seen.intersection(keys))
+        if repeated:
+            raise RegistryError(f"{where} line {lineno}: {kind} key "
+                                f"{' '.join(map(str, repeated[0]))!r} listed twice in one block")
+        seen.update(keys)
+        rows.extend((key, expr) for key in keys)
+    return tuple(rows)
+
+
+def _table_blocks(text: str, group: str, dist: str):
+    """(header line, Fixture) per block of one table file."""
+    blocks = _blocks(content_lines(text), lambda line: line.startswith("["))
+    _, before = next(blocks)
+    if before:
+        raise RegistryError(f"{group}/{dist} line {before[0][0]}: content before first block")
+    for (lineno, line), body in blocks:
+        m = _HEADER.match(line)
+        if not m:
+            raise RegistryError(f"{group}/{dist} line {lineno}: bad block header {line!r}")
+        kind = m.group(1)
+        if kind not in TABLE_KINDS:
+            raise RegistryError(f"{group}/{dist} line {lineno}: unknown kind {kind!r}")
+        yield lineno, Fixture(m.group(2), kind, group, dist, bool(m.group(3)),
+                              _table_rows(kind, body, f"{group}/{dist}"))
+
+
+def _parse_table_file(text: str, group: str, dist: str) -> list:
+    """The fixtures of one table file."""
+    return [fixture for _, fixture in _table_blocks(text, group, dist)]
 
 
 def load_fixtures() -> list:
+    """Every table file's fixtures.  The errata and --id name a fixture by
+    its id, so an id given twice, in one file or two, is refused."""
     fixtures = []
+    first: dict = {}  # id -> where it was given
     for dist in DISTRIBUTIONS:
         for group in GROUPS:
             text = _data_text(f"tables/{dist}/{group}.tab")
-            fixtures.extend(_parse_table_file(text, group, dist))
+            for lineno, fixture in _table_blocks(text, group, dist):
+                where = f"{group}/{dist} line {lineno}"
+                if fixture.id in first:
+                    raise RegistryError(f"{where}: fixture {fixture.id} repeats the id "
+                                        f"given at {first[fixture.id]}")
+                first[fixture.id] = where
+                fixtures.append(fixture)
     return fixtures
 
 
@@ -206,7 +225,7 @@ def load_fixtures() -> list:
 #                              einstein clause, each of which lists one or more)
 #   clause <group> <kind>:     starts a corollary clause (einstein|not_einstein);
 #                              a corollary has one or more
-#   bind <name> = <ratfun>
+#   bind <name> = <ratfun>     name: a parameter, bound once per statement
 #   zero <poly>                side condition: must vanish
 #   nonzero <poly>             side condition: must stay nonzero
 #   completion bind/zero/...   corrected variant, kept separate from the
@@ -287,93 +306,103 @@ _FAMILY_FIELDS = {
 }
 
 
-def _freeze(value):
-    """Replace the lists a loader filled by tuples, inside records too."""
-    if isinstance(value, list):
-        return tuple(_freeze(v) for v in value)
-    if is_dataclass(value):
-        return replace(value, **{f.name: _freeze(getattr(value, f.name)) for f in fields(value)})
-    return value
+def _family(label: str, body: list) -> FamilyRecord:
+    """The family `label` whose directive lines are `body`.  Each bind names
+    a parameter of scalar.PARAMS, at most once in the literal statement and
+    at most once in its completion, which may rebind a literal name."""
+    lists: dict = {name: [] for name in _FAMILY_FIELDS.values()}
+    for lineno, line in body:
+        completion = line.startswith("completion ")
+        text = line[len("completion "):] if completion else line
+        directive, space, arg = text.partition(" ")
+        if not space or (directive, completion) not in _FAMILY_FIELDS:
+            raise RegistryError(f"theorems line {lineno}: unknown directive {text!r}")
+        entries = lists[_FAMILY_FIELDS[directive, completion]]
+        if directive == "bind":
+            name, _, expr = (part.strip() for part in arg.partition("="))
+            if name not in scalar.PARAMS:
+                raise RegistryError(f"theorems line {lineno}: bind of unknown parameter {name!r}")
+            if any(bound == name for bound, _ in entries):
+                raise RegistryError(f"theorems line {lineno}: {name} bound twice in one statement")
+            entries.append((name, expr))
+        else:
+            entries.append(arg.strip())
+    return FamilyRecord(label, label.rstrip("ab"),
+                        **{field: tuple(values) for field, values in lists.items()})
+
+
+def _families(lines: list, listed: bool) -> tuple | None:
+    """The families a claim's lines list, or None for a claim that is not
+    `listed` as one of families, whose lines may then hold no family."""
+    blocks = _blocks(lines, lambda line: line.startswith("family "))
+    _, before = next(blocks)
+    if before:
+        raise RegistryError(f"theorems line {before[0][0]}: directive outside a family")
+    families = []
+    for (lineno, line), body in blocks:
+        m = re.match(r"^family\s+(\w+):$", line)
+        if not m:
+            raise RegistryError(f"theorems line {lineno}: bad family header")
+        if not listed:
+            raise RegistryError(f"theorems line {lineno}: family outside a claim of families")
+        families.append(_family(m.group(1), body))
+    return tuple(families) if listed else None
+
+
+def _claims(lineno: int, rid: str, kind: str, group: str | None, body: list) -> tuple:
+    """The claims of record `rid`, whose header is line `lineno`, over its body."""
+    clauses = _blocks(body, lambda line: line.startswith("clause "))
+    _, before = next(clauses)
+    families = _families(before, kind == "families")
+    # (line, what states it, Claim): a claim of families must list one.
+    stated = [] if kind == "einstein" else [
+        (lineno, f"theorem {rid}", Claim(group, False, families))]
+    for (at, line), lines in clauses:
+        m = re.match(r"^clause\s+(\w+)\s+(\w+):$", line)
+        if not m:
+            raise RegistryError(f"theorems line {at}: bad clause header")
+        if kind != "einstein":
+            raise RegistryError(f"theorems line {at}: clause outside a corollary")
+        if m.group(2) not in ("einstein", "not_einstein"):
+            raise RegistryError(f"theorems line {at}: unknown clause kind {m.group(2)!r}")
+        clause_group = _named("group", m.group(1), GROUPS, at)
+        families = _families(lines, m.group(2) == "einstein")
+        stated.append((at, f"clause {clause_group} einstein", Claim(clause_group, True, families)))
+    if not stated:
+        raise RegistryError(f"theorems line {lineno}: corollary {rid} has no clause")
+    for at, name, claim in stated:
+        if claim.families == ():
+            raise RegistryError(f"theorems line {at}: {name} lists no family")
+    return tuple(claim for _, _, claim in stated)
 
 
 def load_theorems() -> list:
+    blocks = _blocks(content_lines(_data_text("theorems.tab")), _THM_HEADER.match)
+    _, before = next(blocks)
+    if before:
+        raise RegistryError(f"theorems line {before[0][0]}: content before first block")
     records: list = []
-    claim = family = None  # the claim new families join; the family being read
-    # (line, what it lacks, the list that must not stay empty), checked at the end
-    to_fill: list = []
-    for lineno, line in content_lines(_data_text("theorems.tab")):
+    for (lineno, line), body in blocks:
         m = _THM_HEADER.match(line)
-        if m:
-            kv = _parse_kv(m.group(3), lineno)
-            kind, group = kv.get("kind"), kv.get("group")
-            if kind not in ("not_soliton", "families", "einstein"):
-                raise RegistryError(f"theorems line {lineno}: unknown theorem kind {kind!r}")
-            if (m.group(1) == "corollary") != (kind == "einstein"):
-                raise RegistryError(f"theorems line {lineno}: {m.group(1)} {m.group(2)} has "
-                                    f"kind={kind}; a corollary, and only one, has kind=einstein")
-            if m.group(1) == "theorem":
-                _named("group", group, GROUPS, lineno)
-            elif group is not None:
-                raise RegistryError(f"theorems line {lineno}: corollary {m.group(2)} names no "
-                                    f"group=; each clause names its own")
-            dist = _named("dist", kv.get("dist"), DISTRIBUTIONS, lineno)
-            if any(rec.id == m.group(2) for rec in records):
-                raise RegistryError(f"theorems line {lineno}: record {m.group(2)} listed twice")
-            records.append(TheoremRecord(m.group(2), group, dist,
-                                         kv.get("perturbed", False), kind, []))
-            claim = family = None
-            if kind == "einstein":
-                to_fill.append((lineno, f"corollary {m.group(2)} has no clause", records[-1].claims))
-            else:
-                claim = Claim(group, False, None if kind == "not_soliton" else [])
-                records[-1].claims.append(claim)
-                if kind == "families":
-                    to_fill.append((lineno, f"theorem {m.group(2)} lists no family", claim.families))
-            continue
-        if not records:
-            raise RegistryError(f"theorems line {lineno}: content before first block")
-        if line.startswith("clause "):
-            m = re.match(r"^clause\s+(\w+)\s+(\w+):$", line)
-            if not m:
-                raise RegistryError(f"theorems line {lineno}: bad clause header")
-            if records[-1].kind != "einstein":
-                raise RegistryError(f"theorems line {lineno}: clause outside a corollary")
-            if m.group(2) not in ("einstein", "not_einstein"):
-                raise RegistryError(f"theorems line {lineno}: unknown clause kind {m.group(2)!r}")
-            group = _named("group", m.group(1), GROUPS, lineno)
-            claim = Claim(group, True, [] if m.group(2) == "einstein" else None)
-            records[-1].claims.append(claim)
-            if claim.families is not None:
-                to_fill.append((lineno, f"clause {group} einstein lists no family", claim.families))
-            family = None
-            continue
-        if line.startswith("family "):
-            m = re.match(r"^family\s+(\w+):$", line)
-            if not m:
-                raise RegistryError(f"theorems line {lineno}: bad family header")
-            if claim is None or claim.families is None:
-                raise RegistryError(f"theorems line {lineno}: family outside a claim of families")
-            family = FamilyRecord(m.group(1), m.group(1).rstrip("ab"),
-                                  **{name: [] for name in _FAMILY_FIELDS.values()})
-            claim.families.append(family)
-            continue
-        completion = line.startswith("completion ")
-        body = line[len("completion "):] if completion else line
-        if family is None:
-            raise RegistryError(f"theorems line {lineno}: directive outside a family")
-        directive, space, arg = body.partition(" ")
-        if not space or (directive, completion) not in _FAMILY_FIELDS:
-            raise RegistryError(f"theorems line {lineno}: unknown directive {body!r}")
-        if directive == "bind":
-            name, _, expr = arg.partition("=")
-            entry = (name.strip(), expr.strip())
-        else:
-            entry = arg.strip()
-        getattr(family, _FAMILY_FIELDS[directive, completion]).append(entry)
-    for lineno, lack, filled in to_fill:
-        if not filled:
-            raise RegistryError(f"theorems line {lineno}: {lack}")
-    return [_freeze(rec) for rec in records]
+        rid = m.group(2)
+        kv = _parse_kv(m.group(3), lineno)
+        kind, group = kv.get("kind"), kv.get("group")
+        if kind not in ("not_soliton", "families", "einstein"):
+            raise RegistryError(f"theorems line {lineno}: unknown theorem kind {kind!r}")
+        if (m.group(1) == "corollary") != (kind == "einstein"):
+            raise RegistryError(f"theorems line {lineno}: {m.group(1)} {rid} has "
+                                f"kind={kind}; a corollary, and only one, has kind=einstein")
+        if m.group(1) == "theorem":
+            _named("group", group, GROUPS, lineno)
+        elif group is not None:
+            raise RegistryError(f"theorems line {lineno}: corollary {rid} names no "
+                                f"group=; each clause names its own")
+        dist = _named("dist", kv.get("dist"), DISTRIBUTIONS, lineno)
+        if any(rec.id == rid for rec in records):
+            raise RegistryError(f"theorems line {lineno}: record {rid} listed twice")
+        records.append(TheoremRecord(rid, group, dist, kv.get("perturbed", False), kind,
+                                     _claims(lineno, rid, kind, group, body)))
+    return records
 
 
 # --------------------------------------------------------------------------
@@ -404,50 +433,39 @@ class ErrataEntry:
 
 
 def load_errata() -> list:
-    text = _data_text("errata.tab")
+    blocks = _blocks(content_lines(_data_text("errata.tab")),
+                     lambda line: line.startswith("fixture "))
+    _, before = next(blocks)
+    if before:
+        raise RegistryError(f"errata line {before[0][0]}: directive before first fixture")
     entries = []
     first_line: dict = {}  # signature -> the line of the entry that gave it
-    pending: dict | None = None
-    pending_line = 0
-
-    def flush():
-        nonlocal pending
-        if pending is not None:
-            for field_name in ("stored", "computed"):
-                if field_name not in pending:
-                    raise RegistryError(
-                        f"errata entry {pending['fixture_id']} {pending['key']} lacks {field_name}"
-                    )
-            pending.setdefault("note", "")
-            entry = ErrataEntry(**pending)
-            signature = entry.signature()
-            if signature in first_line:
-                raise RegistryError(f"errata line {pending_line}: entry {entry.fixture_id} "
-                                    f"{entry.key} repeats the entry of line {first_line[signature]}")
-            first_line[signature] = pending_line
-            entries.append(entry)
-        pending = None
-
-    for lineno, line in content_lines(text):
-        if line.startswith("fixture "):
-            flush()
-            parts = line.split()
-            if len(parts) != 3:
-                raise RegistryError(f"errata line {lineno}: expected 'fixture <id> <key>'")
-            pending = {"fixture_id": parts[1], "key": parts[2]}
-            pending_line = lineno
-        elif pending is None:
-            raise RegistryError(f"errata line {lineno}: directive before first fixture")
-        elif line.startswith(("stored ", "computed ")):
-            field_name, _, value = line.partition(" ")
-            if field_name in pending:
-                raise RegistryError(f"errata line {lineno}: {field_name} given twice in one entry")
-            pending[field_name] = value.strip()
-        elif line.startswith("note "):
-            pending["note"] = (pending.get("note", "") + " " + line[len("note "):].strip()).strip()
-        else:
-            raise RegistryError(f"errata line {lineno}: unknown directive")
-    flush()
+    for (lineno, line), body in blocks:
+        parts = line.split()
+        if len(parts) != 3:
+            raise RegistryError(f"errata line {lineno}: expected 'fixture <id> <key>'")
+        given = {"fixture_id": parts[1], "key": parts[2], "note": ""}
+        for at, text in body:
+            if text.startswith(("stored ", "computed ")):
+                field_name, _, value = text.partition(" ")
+                if field_name in given:
+                    raise RegistryError(f"errata line {at}: {field_name} given twice in one entry")
+                given[field_name] = value.strip()
+            elif text.startswith("note "):
+                given["note"] = (given["note"] + " " + text[len("note "):].strip()).strip()
+            else:
+                raise RegistryError(f"errata line {at}: unknown directive")
+        for field_name in ("stored", "computed"):
+            if field_name not in given:
+                raise RegistryError(f"errata line {lineno}: entry {parts[1]} {parts[2]} "
+                                    f"lacks {field_name}")
+        entry = ErrataEntry(**given)
+        signature = entry.signature()
+        if signature in first_line:
+            raise RegistryError(f"errata line {lineno}: entry {entry.fixture_id} "
+                                f"{entry.key} repeats the entry of line {first_line[signature]}")
+        first_line[signature] = lineno
+        entries.append(entry)
     return entries
 
 

@@ -513,14 +513,16 @@ def solvable_at(system: SolitonSystem, point: Mapping[str, Fraction],
     where it decides.  With r the rank of A over Q(params), rank A(p) <= r:
     a nonzero c_i makes rank [A | b](p) > r (no solution), and all c_i zero
     with d nonzero make every minor bordering d vanish: rank [A | b](p) = r.
-    Else the loop consumes `rows`, the caller's integer_rows.at(point), or new ones."""
+    Else the loop consumes `rows`, the caller's integer_rows.at(point), or new
+    ones, and its rows below the rank decide; no witness is built."""
     d, *minors = system.branch_rows.at(point)[0]
     if any(minors):
         return False
     if d:
         return True
-    return _solve_integer_rows(system.integer_rows.at(point) if rows is None else rows,
-                               len(UNKNOWNS)).solvable
+    m = system.integer_rows.at(point) if rows is None else rows
+    pivots, _, _ = _eliminate(m, len(UNKNOWNS))
+    return not any(row[len(UNKNOWNS)] for row in m[len(pivots):])
 
 
 def solve_at_point(system: SolitonSystem, point: Mapping[str, Fraction]) -> PointVerdict:

@@ -1,5 +1,7 @@
 import hashlib
 import operator
+import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -68,12 +70,32 @@ HEADER = "[theorem 9.1 group=G1 dist=D kind=families]\n"
 
     ("[corollary C9.2 group=G9 dist=D perturbed kind=einstein]\nclause G1 not_einstein:\n",
      "theorems line 1: corollary C9.2 names no group=; each clause names its own"),
+    (HEADER + "family 1:\n  bind foo = 0\n", "theorems line 3: bind of unknown parameter 'foo'"),
+    (HEADER + "family 1:\n  bind = 0\n", "theorems line 3: bind of unknown parameter ''"),
+    (HEADER + "family 1:\n  bind eta = 1\n", "theorems line 3: bind of unknown parameter 'eta'"),
+    (HEADER + "family 1:\n  bind mu = 0\n  completion bind nu = 0\n",
+     "theorems line 4: bind of unknown parameter 'nu'"),
+    (HEADER + "family 1:\n  bind mu = 0\n  zero alpha\n  bind mu = 1\n",
+     "theorems line 5: mu bound twice in one statement"),
+    (HEADER + "family 1:\n  bind mu = 0\n  completion bind alpha = 0\n"
+     "  completion bind alpha = 1\n",
+     "theorems line 5: alpha bound twice in one statement"),
 ])
 def test_theorem_registry_errors(monkeypatch, text, message):
     monkeypatch.setattr(registry, "_data_text", lambda relpath: text)
     with pytest.raises(RegistryError) as exc:
         registry.load_theorems()
     assert str(exc.value) == message
+
+
+def test_a_completion_may_rebind_a_literal_name(monkeypatch):
+    """A bind names a parameter once per statement; the completion is a
+    statement of its own, so it may bind a name the literal one binds."""
+    text = HEADER + "family 1:\n  bind mu = 0\n  completion bind mu = alpha\n"
+    monkeypatch.setattr(registry, "_data_text", lambda relpath: text)
+    (family,) = registry.load_theorems()[0].claims[0].families
+    assert family.bindings == (("mu", "0"),)
+    assert family.completion_bindings == (("mu", "alpha"),)
 
 
 ERRATUM = "fixture 9.9 1,2\nstored alpha\ncomputed beta\n"
@@ -83,7 +105,7 @@ ERRATUM = "fixture 9.9 1,2\nstored alpha\ncomputed beta\n"
     (ERRATUM + "stored gamma\n", "errata line 4: stored given twice in one entry"),
     (ERRATUM + "note first\ncomputed gamma\n", "errata line 5: computed given twice in one entry"),
     ("stored alpha\n", "errata line 1: directive before first fixture"),
-    ("fixture 9.9 1,2\nstored alpha\n", "errata entry 9.9 1,2 lacks computed"),
+    ("fixture 9.9 1,2\nstored alpha\n", "errata line 1: entry 9.9 1,2 lacks computed"),
     (ERRATUM + "note first\nfixture 9.9 2,1\nstored alpha\ncomputed beta\n" + ERRATUM,
      "errata line 8: entry 9.9 1,2 repeats the entry of line 1"),
 ])
@@ -183,6 +205,24 @@ def test_malformed_block_headers_are_refused(text, message):
     kept as an equation; both are refused with their line."""
     with pytest.raises(RegistryError) as exc:
         registry._parse_table_file(text, "G1", "D")
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("edited, message", [
+    ({"tables/D/G1.tab": "[ricci 9.9]\n* : 0\n\n[ricci 9.9]\n* : 0\n"},
+     "G1/D line 4: fixture 9.9 repeats the id given at G1/D line 1"),
+    ({"tables/D/G1.tab": "[ricci 9.9]\n* : 0\n",
+      "tables/D1/G3.tab": "[sym_ricci 9.9 perturbed]\n* : 0\n"},
+     "G3/D1 line 1: fixture 9.9 repeats the id given at G1/D line 1"),
+])
+def test_a_repeated_fixture_id_is_refused(monkeypatch, edited, message):
+    """The errata and --id name a fixture by its id, so an id given twice,
+    in one table file or in two, is refused with both places."""
+    shipped = registry._data_text
+    monkeypatch.setattr(registry, "_data_text",
+                        lambda relpath: edited.get(relpath) or shipped(relpath))
+    with pytest.raises(RegistryError) as exc:
+        registry.load_fixtures()
     assert str(exc.value) == message
 
 
@@ -293,3 +333,68 @@ def test_a_second_load_is_a_fresh_container_of_shared_values(kind):
     if kind == "bott":  # the memo holds the parsed triple each Vec3 wraps
         second, third = [v.c for v in second], [v.c for v in third]
     assert all(map(operator.is_, second, third))
+
+
+# -- one-line edits of the shipped data files -----------------------------
+
+
+def _line_edit(text: str, rng: random.Random) -> str:
+    """`text` with one content line deleted, duplicated, swapped with the
+    next line, truncated, or with one word replaced by a word of the file."""
+    lines = text.splitlines()
+    i = rng.choice([k for k, line in enumerate(lines) if line.split("#", 1)[0].strip()])
+    line = lines[i]
+    edit = rng.choice(("delete", "duplicate", "swap", "truncate", "word"))
+    if edit == "delete":
+        del lines[i]
+    elif edit == "duplicate":
+        lines.insert(i, line)
+    elif edit == "swap":
+        lines[i:i + 2] = lines[i:i + 2][::-1]
+    elif edit == "truncate":
+        lines[i] = line[:rng.randrange(len(line))]
+    else:
+        words = line.split()
+        words[rng.randrange(len(words))] = rng.choice(text.split())
+        lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+def test_line_edits_of_the_data_files_load_or_name_their_line(monkeypatch, capsys):
+    """120 seeded one-line edits per file kind: each edited file loads, or
+    its loader raises a RegistryError naming the file and a line, never
+    another exception.  Five theorem edits that load then run through
+    verify-theorem, which returns an exit code and raises nothing."""
+    from bottsol import cli
+    from bottsol.algebra import GROUPS
+    from bottsol.connection import DISTRIBUTIONS
+
+    tables = {f"tables/{dist}/{group}.tab": f"{group}/{dist}"
+              for dist in DISTRIBUTIONS for group in GROUPS}
+    names = {"theorems.tab": "theorems", "errata.tab": "errata", **tables}
+    shipped = {path: registry._data_text(path) for path in names}
+    rng = random.Random(7)
+    loaded_theorems = []
+    for paths, load in ((["theorems.tab"], registry.load_theorems),
+                        (["errata.tab"], registry.load_errata),
+                        (list(tables), registry.load_fixtures)):
+        for _ in range(120):
+            path = rng.choice(paths)
+            text = _line_edit(shipped[path], rng)
+            monkeypatch.setattr(registry, "_data_text",
+                                lambda relpath: text if relpath == path else shipped[relpath])
+            try:
+                load()
+            except RegistryError as exc:
+                message = str(exc)
+                assert re.match(r"\S+ line \d+: ", message) and f"{names[path]} line " in message
+            else:
+                if path == "theorems.tab":
+                    loaded_theorems.append(text)
+    codes = []
+    for text in loaded_theorems[:5]:
+        monkeypatch.setattr(registry, "_data_text",
+                            lambda relpath: text if relpath == "theorems.tab" else shipped[relpath])
+        codes.append(cli.main(["verify-theorem", "--samples", "0", "--spot-samples", "0"]))
+    capsys.readouterr()
+    assert len(codes) == 5 and set(codes) <= {0, 1, 2, 64}

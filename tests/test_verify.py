@@ -552,12 +552,13 @@ def test_a_spot_check_evaluates_the_system_once_per_point(theorems, monkeypatch)
     """The equations are tested on the rows the spot check evaluated, and
     solvable_at is handed the same rows, so the system's integer rows are
     evaluated once per decided point; where the branch row leaves a point
-    to the loop, the loop consumes those very rows, with no copy."""
+    to the loop, its elimination consumes those very rows, with no copy."""
     rec = theorems["2.9"]
     system = pipeline.stage(rec.group, rec.distribution, rec.perturbed).system
     family = _family_from_record(rec.claims[0].families[0], None, completed=False)
-    evaluated, decided, solved = [], [], []
-    at, decide, solve = IntegerRows.at, verify.solvable_at, soliton._solve_integer_rows
+    system.branch_rows  # eliminated over Polys once, before the point rows are recorded
+    evaluated, decided, eliminated = [], [], []
+    at, decide, eliminate = IntegerRows.at, verify.solvable_at, soliton._eliminate
 
     def counted_at(rows, point):
         values = at(rows, point)
@@ -569,17 +570,17 @@ def test_a_spot_check_evaluates_the_system_once_per_point(theorems, monkeypatch)
         decided.append((point, rows))
         return decide(system, point, rows)
 
-    def counted_solve(m, n_unknowns):
-        solved.append(m)
-        return solve(m, n_unknowns)
+    def counted_eliminate(m, n_unknowns):
+        eliminated.append(m)
+        return eliminate(m, n_unknowns)
 
     monkeypatch.setattr(IntegerRows, "at", counted_at)
     monkeypatch.setattr(verify, "solvable_at", counted_decide)
-    monkeypatch.setattr(soliton, "_solve_integer_rows", counted_solve)
+    monkeypatch.setattr(soliton, "_eliminate", counted_eliminate)
     assert _spot_check_family(system, family, 25, 177147) == 25
     assert len(decided) == 25 and len(evaluated) == 25
     assert all(p is q and rows is values for (p, rows), (q, values) in zip(decided, evaluated))
-    assert solved and all(any(m is rows for _, rows in decided) for m in solved)
+    assert eliminated and all(any(m is rows for _, rows in decided) for m in eliminated)
 
 
 def test_a_spot_check_decides_only_points_that_keep_the_side_conditions(theorems, monkeypatch):

@@ -296,47 +296,32 @@ class Poly:
 
         Each term's unbound part stays one polynomial term; only the bound
         values are multiplied in, in parameter order.  When every bound value
-        is a polynomial, the result is too: each term is its unbound part
-        times a product of powers, each power and product computed once, and
-        the terms are summed by one `dot`.  A bound value with a non-constant
-        denominator sends every term through RatFun arithmetic."""
+        has the denominator 1, as `RatFun.make` and `RatFun.coerce` give each
+        polynomial value, each term is its unbound part times the powers of
+        the bound numerators, and the terms are summed by one `dot`.  Any
+        other bound value sends every term through RatFun arithmetic."""
         binds = {}
         for name, value in bindings.items():
             if name not in _INDEX:
                 raise UnknownParameter(f"{name!r} is not in the parameter alphabet {PARAMS}")
             binds[_INDEX[name]] = RatFun.coerce(value)
-        if all(value.is_poly() for value in binds.values()):
-            return RatFun.coerce(self._substitute_polys(
-                {i: value.as_poly() for i, value in binds.items()}))
-        total = RatFun.coerce(0)
+        polynomial = all(value.den == _ONE for value in binds.values())
+        pairs, total = [], RatFun.coerce(0)
         for e, c in self.terms.items():
             free = tuple(0 if i in binds else k for i, k in enumerate(e))
+            if polynomial:
+                product = _ONE
+                for i, k in enumerate(e):
+                    if k and i in binds:
+                        product = product * _power(binds[i].num, k, _ONE, Poly.__mul__)
+                pairs.append((Poly._trusted({free: c}), product))
+                continue
             term = RatFun.coerce(Poly._trusted({free: c}))
             for i, k in enumerate(e):
                 if k and i in binds:
                     term = term * binds[i].pow(k)
             total = total + term
-        return total
-
-    def _substitute_polys(self, binds: dict) -> "Poly":
-        """`substitute` for bindings of parameter index -> Poly."""
-        bound = sorted(binds)
-        products: dict = {}  # the bound exponents of a term -> their product of powers
-        powers: dict = {}  # (index, exponent) -> bound value to that power
-        pairs = []
-        for e, c in self.terms.items():
-            key = tuple(e[i] for i in bound)
-            if key not in products:
-                product = _ONE
-                for i, k in zip(bound, key):
-                    if k:
-                        if (i, k) not in powers:
-                            powers[i, k] = _power(binds[i], k, _ONE, Poly.__mul__)
-                        product = product * powers[i, k]
-                products[key] = product
-            free = tuple(0 if i in binds else k for i, k in enumerate(e))
-            pairs.append((Poly._trusted({free: c}), products[key]))
-        return Poly.dot(pairs)
+        return RatFun(Poly.dot(pairs), _ONE) if polynomial else total
 
     def eval_at(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact value at a point that binds every parameter of self; other

@@ -32,21 +32,8 @@ _PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 
 
 class ConstraintViolated(Exception):
-    """A sample point breaks an admissibility constraint.
-
-    A refusal at a constraint keeps the constraint and a copy of the point,
-    and formats "<kind> <constraint> fails at <point>" only when printed:
-    sampling refuses thousands of points and reads no message."""
-
-    def __init__(self, message: str, constraint: Poly | None = None, point: dict | None = None):
-        super().__init__(message)
-        self.constraint = constraint
-        self.point = point
-
-    def __str__(self) -> str:
-        if self.constraint is None:
-            return self.args[0]
-        return f"{self.args[0]} {self.constraint} fails at {self.point}"
+    """No admissible sample point: sampling ran out, or decide_at_point was
+    given a point check_point_admissible refuses."""
 
 
 class InconsistentFamily(Exception):
@@ -299,19 +286,15 @@ class PointVerdict:
 _INCONSISTENT, _ZERO = PointVerdict(False), Fraction(0)  # immutable, so every solve shares them
 
 
-def check_point_admissible(system: SolitonSystem, point: Mapping[str, Fraction]) -> None:
-    missing = [p for p in system.parameters if p not in point]
-    if missing:
-        raise ConstraintViolated(f"point binds no value for parameters {missing}")
+def check_point_admissible(system: SolitonSystem, point: Mapping[str, Fraction]) -> bool:
+    """Whether `point` binds every parameter, every equality constraint
+    vanishes there and no nonzero constraint does."""
+    if not all(p in point for p in system.parameters):
+        return False
     # Each value is its constraint's value times a positive constant.
     (values,) = system.constraint_rows.at(point)
-    equal = system.equality_constraints
-    for c, value in zip(equal, values):
-        if value:
-            raise ConstraintViolated("equality constraint", c, dict(point))
-    for c, value in zip(system.nonzero_constraints, values[len(equal):]):
-        if not value:
-            raise ConstraintViolated("nonzero constraint", c, dict(point))
+    equal = len(system.equality_constraints)
+    return not any(values[:equal]) and all(values[equal:])
 
 
 # Longest sum written as one expression: Python's compiler recurses once per
@@ -534,7 +517,8 @@ def solve_at_point(system: SolitonSystem, point: Mapping[str, Fraction]) -> Poin
 def decide_at_point(system: SolitonSystem, point: Mapping[str, Fraction]) -> PointVerdict:
     """check_point_admissible, then solve_at_point: ConstraintViolated at a
     refused point, else the verdict (verify needs none: see solvable_at)."""
-    check_point_admissible(system, point)
+    if not check_point_admissible(system, point):
+        raise ConstraintViolated(f"{system.group}/{system.distribution} does not admit {point}")
     return solve_at_point(system, point)
 
 
@@ -567,14 +551,6 @@ DEFAULT_SPOT_SAMPLES = 25  # instantiation points per confirmed family
 RANDOM_VALUES = tuple(tuple(Fraction(n, d) for d in range(1, 10)) for n in range(-9, 10))
 
 
-def _admissible(system: SolitonSystem, point: Mapping[str, Fraction]) -> bool:
-    try:
-        check_point_admissible(system, point)
-        return True
-    except ConstraintViolated:
-        return False
-
-
 def grid_points(system: SolitonSystem) -> list:
     import itertools
 
@@ -582,7 +558,7 @@ def grid_points(system: SolitonSystem) -> list:
     points = []
     for combo in itertools.product(GRID_VALUES, repeat=len(names)):
         point = dict(zip(names, combo))
-        if _admissible(system, point):
+        if check_point_admissible(system, point):
             points.append(point)
     return points
 
@@ -690,7 +666,7 @@ def random_points(system: SolitonSystem, count: int, seed: int = DEFAULT_SEED) -
     points = []
     for point in draw_points(system.equality_constraints, list(system.parameters), seed,
                              count * 400):
-        if _admissible(system, point):
+        if check_point_admissible(system, point):
             points.append(point)
             if len(points) == count:
                 break

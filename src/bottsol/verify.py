@@ -25,7 +25,6 @@ from .soliton import (
     DEFAULT_SEED,
     DEFAULT_SPOT_SAMPLES,
     UNKNOWNS,
-    ConstraintViolated,
     InconsistentFamily,
     SolitonSystem,
     SolutionFamily,
@@ -240,9 +239,7 @@ def _spot_check_family(
         if full is None:
             continue
         group_point = {k: v for k, v in full.items() if k not in UNKNOWNS}
-        try:
-            check_point_admissible(system, group_point)
-        except ConstraintViolated:
+        if not check_point_admissible(system, group_point):
             continue
         rows = system.integer_rows.at(group_point)
         for eq, value in zip(system.equations, equation_values(rows, full)):

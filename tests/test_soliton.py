@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bottsol import pipeline, soliton
 from bottsol.algebra import Vec3, custom_spec, parse_custom_file
@@ -213,29 +215,13 @@ class TestDecideAtPoint:
 
     def test_perturbed_requires_nonzero_a0(self):
         system = stage("G1", "D", perturbed=True).system
-        with pytest.raises(ConstraintViolated, match=r"^nonzero constraint a0 fails at "
+        point = {"alpha": F(1), "beta": F(0), "a0": F(0)}
+        assert not soliton.check_point_admissible(system, point)
+        assert soliton.check_point_admissible(system, {**point, "a0": F(2)})
+        with pytest.raises(ConstraintViolated, match=r"^G1/D does not admit "
                            r"\{'alpha': Fraction\(1, 1\), 'beta': Fraction\(0, 1\), "
                            r"'a0': Fraction\(0, 1\)\}$"):
-            decide_at_point(system, {"alpha": F(1), "beta": F(0), "a0": F(0)})
-
-    def test_a_refusal_formats_its_message_only_when_printed(self, monkeypatch):
-        system = stage("G5", "D").system
-        point = {"alpha": F(1), "beta": F(1), "gamma": F(1), "delta": F(1)}
-
-        def unprinted(poly):
-            raise AssertionError("a constraint was printed")
-
-        monkeypatch.setattr(Poly, "__str__", unprinted)
-        with pytest.raises(ConstraintViolated) as refused:
             decide_at_point(system, point)
-        exc = refused.value
-        assert exc.constraint is system.equality_constraints[0]
-        assert exc.point == point and exc.point is not point
-        point["alpha"] = F(7)
-        monkeypatch.undo()
-        assert str(exc) == ("equality constraint alpha*gamma + beta*delta fails at {'alpha': "
-                            "Fraction(1, 1), 'beta': Fraction(1, 1), 'gamma': Fraction(1, 1), "
-                            "'delta': Fraction(1, 1)}")
 
     def test_a0_is_a_nonzero_constraint(self):
         """A perturbed system lists a0 last among its nonzero constraints, and
@@ -247,6 +233,33 @@ class TestDecideAtPoint:
             if perturbed:
                 assert system.nonzero_constraints[-1] == Poly.var("a0")
             assert system.einstein.constraint_rows is system.constraint_rows
+
+
+CONFIGURATIONS = list(all_configurations())
+# Values that put a point on a catalog constraint variety (and off it) often.
+VALUES = st.one_of(st.sampled_from([F(0), F(1), F(-1), F(1, 2)]),
+                   st.fractions(min_value=-9, max_value=9, max_denominator=9))
+
+
+@given(st.sampled_from(CONFIGURATIONS), st.booleans(), st.integers(0, 2**16),
+       st.fixed_dictionaries({n: VALUES for n in ("alpha", "beta", "gamma", "delta", "a0")}),
+       st.none() | st.sampled_from(("alpha", "beta", "gamma", "delta", "a0")))
+@settings(max_examples=120, deadline=None)
+def test_admission_is_the_constraints_at_the_point(cfg, drawn, seed, values, missing):
+    """check_point_admissible holds exactly where every parameter is bound,
+    each equality constraint vanishes and no nonzero constraint does, at
+    points on the equality varieties (drawn there) and off them, some of
+    them missing a parameter."""
+    system = stage(*cfg).system
+    point = {name: values[name] for name in system.parameters}
+    if drawn:
+        point = next(draw_points(system.equality_constraints, list(system.parameters), seed, 20),
+                     point)
+    point.pop(missing, None)
+    expected = (all(name in point for name in system.parameters)
+                and all(c.eval_at(point) == 0 for c in system.equality_constraints)
+                and all(c.eval_at(point) != 0 for c in system.nonzero_constraints))
+    assert soliton.check_point_admissible(system, point) is expected
 
 
 class TestSolver:

@@ -621,7 +621,7 @@ def test_a_spot_check_decides_only_points_that_keep_the_side_conditions(theorems
             kept.append({k: v for k, v in full.items() if k not in UNKNOWNS})
     assert len(kept) < len(drawn)
     assert admitted == kept
-    assert decided == [point for point in kept if soliton._admissible(system, point)]
+    assert decided == [point for point in kept if soliton.check_point_admissible(system, point)]
 
 
 def test_each_source_is_compiled_once_until_the_stages_are_cleared(theorems, monkeypatch):

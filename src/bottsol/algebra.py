@@ -173,6 +173,11 @@ def catalog(group: str, eta_sign: int | None = None) -> LieAlgebraSpec:
     return replace(spec, unimodular=unimodular)
 
 
+def eta_signs(group: str) -> tuple:
+    """The eta_sign values `catalog` takes for `group`: both signs for G4."""
+    return (1, -1) if group == "G4" else (None,)
+
+
 def custom_spec(
     rows: Mapping[tuple, Vec3],
     equality_constraints: Sequence[Poly] = (),

@@ -215,7 +215,9 @@ def _fixture_summary_line(counts) -> str:
 
 def _cmd_verify_fixture(args) -> int:
     errata = registry.errata_signatures()
-    fixtures = _select(registry.load_fixtures(), args.id, "fixture")
+    fixtures = registry.load_fixtures()
+    registry.check_errata_ids(errata, fixtures)
+    fixtures = _select(fixtures, args.id, "fixture")
     if fixtures is None:
         return EX_USAGE
     summary = verify.RunSummary(fixture_reports=[verify.verify_fixture(f, errata) for f in fixtures])

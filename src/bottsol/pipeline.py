@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import algebra, connection, curvature, registry, soliton
-from .algebra import LieAlgebraSpec
+from .algebra import LieAlgebraSpec, eta_signs  # noqa: F401  callers read pipeline.eta_signs
 from .connection import Connection
 from .curvature import BilinearForm, CurvatureTensor
 from .soliton import SolitonSystem
@@ -85,7 +85,3 @@ def _cache_clear() -> None:
 
 stage.cache_clear = _cache_clear
 stage.cache_info = _catalog_stage.cache_info
-
-
-def eta_signs(group: str) -> tuple:
-    return (1, -1) if group == "G4" else (None,)

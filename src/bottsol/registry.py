@@ -31,7 +31,7 @@ from functools import lru_cache
 from importlib import resources
 
 from . import scalar
-from .algebra import GROUPS, Vec3, content_lines
+from .algebra import GROUPS, Vec3, content_lines, eta_signs
 from .connection import DISTRIBUTIONS
 
 _UPPER_PAIRS = tuple((i, j) for i in (1, 2, 3) for j in range(i, 4))
@@ -193,11 +193,6 @@ def _table_blocks(text: str, group: str, dist: str):
                               _table_rows(kind, body, f"{group}/{dist}"))
 
 
-def _parse_table_file(text: str, group: str, dist: str) -> list:
-    """The fixtures of one table file."""
-    return [fixture for _, fixture in _table_blocks(text, group, dist)]
-
-
 def load_fixtures() -> list:
     """Every table file's fixtures.  The errata and --id name a fixture by
     its id, so an id given twice, in one file or two, is refused."""
@@ -306,10 +301,13 @@ _FAMILY_FIELDS = {
 }
 
 
-def _family(label: str, body: list) -> FamilyRecord:
-    """The family `label` whose directive lines are `body`.  Each bind names
-    a parameter of scalar.PARAMS, at most once in the literal statement and
-    at most once in its completion, which may rebind a literal name."""
+def _family(label: str, body: list, group: str) -> FamilyRecord:
+    """The family `label` of a claim on `group` whose directive lines are
+    `body`.  Each bind names a parameter of scalar.PARAMS, at most once in
+    the literal statement and at most once in its completion, which may
+    rebind a literal name.  Each expression is parsed, through `parsed`, at
+    each sign of the group, so text the parser refuses is refused with its
+    line."""
     lists: dict = {name: [] for name in _FAMILY_FIELDS.values()}
     for lineno, line in body:
         completion = line.startswith("completion ")
@@ -326,14 +324,21 @@ def _family(label: str, body: list) -> FamilyRecord:
                 raise RegistryError(f"theorems line {lineno}: {name} bound twice in one statement")
             entries.append((name, expr))
         else:
-            entries.append(arg.strip())
+            expr = arg.strip()
+            entries.append(expr)
+        for eta in eta_signs(group):
+            try:
+                parsed("parse_ratfun" if directive == "bind" else "parse_poly", expr, eta)
+            except RegistryError as exc:
+                raise RegistryError(f"theorems line {lineno}: {exc}") from exc
     return FamilyRecord(label, label.rstrip("ab"),
                         **{field: tuple(values) for field, values in lists.items()})
 
 
-def _families(lines: list, listed: bool) -> tuple | None:
-    """The families a claim's lines list, or None for a claim that is not
-    `listed` as one of families, whose lines may then hold no family."""
+def _families(lines: list, listed: bool, group: str | None) -> tuple | None:
+    """The families a claim on `group` lists in its lines, or None for a
+    claim that is not `listed` as one of families, whose lines may then hold
+    no family."""
     blocks = _blocks(lines, lambda line: line.startswith("family "))
     _, before = next(blocks)
     if before:
@@ -345,7 +350,7 @@ def _families(lines: list, listed: bool) -> tuple | None:
             raise RegistryError(f"theorems line {lineno}: bad family header")
         if not listed:
             raise RegistryError(f"theorems line {lineno}: family outside a claim of families")
-        families.append(_family(m.group(1), body))
+        families.append(_family(m.group(1), body, group))
     return tuple(families) if listed else None
 
 
@@ -353,7 +358,7 @@ def _claims(lineno: int, rid: str, kind: str, group: str | None, body: list) -> 
     """The claims of record `rid`, whose header is line `lineno`, over its body."""
     clauses = _blocks(body, lambda line: line.startswith("clause "))
     _, before = next(clauses)
-    families = _families(before, kind == "families")
+    families = _families(before, kind == "families", group)
     # (line, what states it, Claim): a claim of families must list one.
     stated = [] if kind == "einstein" else [
         (lineno, f"theorem {rid}", Claim(group, False, families))]
@@ -366,7 +371,7 @@ def _claims(lineno: int, rid: str, kind: str, group: str | None, body: list) -> 
         if m.group(2) not in ("einstein", "not_einstein"):
             raise RegistryError(f"theorems line {at}: unknown clause kind {m.group(2)!r}")
         clause_group = _named("group", m.group(1), GROUPS, at)
-        families = _families(lines, m.group(2) == "einstein")
+        families = _families(lines, m.group(2) == "einstein", clause_group)
         stated.append((at, f"clause {clause_group} einstein", Claim(clause_group, True, families)))
     if not stated:
         raise RegistryError(f"theorems line {lineno}: corollary {rid} has no clause")
@@ -471,3 +476,12 @@ def load_errata() -> list:
 
 def errata_signatures() -> set:
     return {entry.signature() for entry in load_errata()}
+
+
+def check_errata_ids(signatures: set, fixtures: list) -> None:
+    """Refuse an errata entry, by its signature, whose fixture id names none
+    of `fixtures`: no diff could ever reproduce it."""
+    ids = {fix.id for fix in fixtures}
+    for fixture_id, key, _, _ in sorted(signatures):
+        if fixture_id not in ids:
+            raise RegistryError(f"errata entry {fixture_id} {key} names no fixture")

@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 
 from . import pipeline, registry
+from .algebra import eta_signs
 from .registry import FamilyRecord, Fixture, TheoremRecord, parsed
 from .soliton import (
     DEFAULT_SAMPLES,
@@ -135,7 +136,7 @@ def verify_fixture(fix: Fixture, errata: set | frozenset = frozenset()) -> Fixtu
     """
     started = time.perf_counter()
     diffs: list = []
-    for eta in pipeline.eta_signs(fix.group):
+    for eta in eta_signs(fix.group):
         for diff in _verify_fixture_for_eta(fix, eta):
             if diff not in diffs:
                 diffs.append(diff)
@@ -329,7 +330,7 @@ def verify_theorem(
             families = [replace(fam, label=f"{group}.{fam.label}",
                                 printed_label=f"{group}.{fam.printed_label}",
                                 bindings=_EINSTEIN_ZERO + fam.bindings) for fam in families]
-        for eta in pipeline.eta_signs(group):
+        for eta in eta_signs(group):
             system = pipeline.stage(group, rec.distribution, rec.perturbed, eta).system
             if families is not None:
                 for fam in families:
@@ -397,8 +398,10 @@ class RunSummary:
 def run_all(minimum_points: int = DEFAULT_SAMPLES, spot_points: int = DEFAULT_SPOT_SAMPLES,
             seed: int = DEFAULT_SEED) -> RunSummary:
     errata = registry.errata_signatures()
+    fixtures = registry.load_fixtures()
+    registry.check_errata_ids(errata, fixtures)
     summary = RunSummary()
-    for fix in registry.load_fixtures():
+    for fix in fixtures:
         summary.fixture_reports.append(verify_fixture(fix, errata))
     for rec in registry.load_theorems():
         summary.theorem_reports.append(

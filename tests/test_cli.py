@@ -149,17 +149,32 @@ class TestVerifyCommands:
                        "each clause names its own\n")
 
     def test_stored_text_the_parser_refuses_exit_code(self, capsys, monkeypatch):
-        """A stored expression that does not parse is refused when it is
-        first parsed, while verify-all runs: exit 64, with the parser and the
-        text named, and no traceback."""
+        """A stored expression that does not parse is refused while
+        theorems.tab is read: exit 64, with its line, the parser and the text
+        named, and no traceback."""
         shipped = registry._data_text
         monkeypatch.setattr(registry, "_data_text", lambda relpath: (
             shipped(relpath).replace("bind mu = 0", "bind mu = (alpha", 1)
             if relpath == "theorems.tab" else shipped(relpath)))
         code, _, err = run(capsys, "verify-all")
         assert code == EX_USAGE
-        assert err == ("error: parse_ratfun refuses stored text '(alpha': "
+        assert err == ("error: theorems line 15: parse_ratfun refuses stored text '(alpha': "
                        "unexpected end of expression\n")
+
+    @pytest.mark.parametrize("command", ["verify-all", "verify-fixture"])
+    def test_errata_entry_naming_no_fixture_exit_code(self, capsys, monkeypatch, command):
+        """An errata entry whose fixture id names no fixture can never be
+        reproduced, so the stale entry is an input error: exit 64, naming
+        it, before any fixture is compared."""
+        shipped = registry._data_text
+        monkeypatch.setattr(registry, "_data_text", lambda relpath: (
+            shipped(relpath).replace("fixture 2.20 1,3,2", "fixture 2.99 1,3,2", 1)
+            if relpath == "errata.tab" else shipped(relpath)))
+        code, out, err = run(capsys, command, "--format", "structured")
+        assert code == EX_USAGE and out == ""
+        assert err == "error: errata entry 2.99 1,3,2 names no fixture\n"
+        code, _, err = run(capsys, "verify-fixture", "--id", "2.20")
+        assert (code, err) == (EX_USAGE, "error: errata entry 2.99 1,3,2 names no fixture\n")
 
     def test_verify_theorem_confirmed(self, capsys):
         code, out, _ = run(capsys, "verify-theorem", "--id", "2.5", "--samples", "100")

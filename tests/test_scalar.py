@@ -497,6 +497,22 @@ def test_polynomial_bindings_substitute_like_the_ratfun_route(p, x, y):
     assert fast.num.terms == expected.terms
 
 
+def test_only_a_denominator_of_1_takes_the_polynomial_route(monkeypatch):
+    """A pair built directly with a constant denominator other than 1 takes
+    the RatFun route and substitutes exactly; values that make and coerce
+    give, with the denominator 1, take the Poly route, which calls no make."""
+    p = P("alpha^2*beta + 3*alpha - mu1")
+    quarter = RatFun(P("2*beta"), Poly.const(4))
+    assert p.substitute({"alpha": quarter}) == p.substitute({"alpha": P("beta/2")})
+    assert p.substitute({"alpha": quarter}).num == P("1/4*beta^3 + 3/2*beta - mu1")
+    made = []
+    make = RatFun.make
+    monkeypatch.setattr(RatFun, "make", lambda num, den: made.append(1) or make(num, den))
+    plain = p.substitute({"alpha": RatFun.make(P("2*beta"), Poly.const(4)), "mu1": 2})
+    assert plain.num == P("1/4*beta^3 + 3/2*beta - 2") and plain.den == Poly.const(1)
+    assert len(made) == 1  # the make that built the bound value
+
+
 def test_zero_polynomial_values_share_one_zero():
     zero = Poly.zero()
     assert zero.constant_value() == 0 and zero.leading() == ((0,) * scalar.NVARS, 0)
